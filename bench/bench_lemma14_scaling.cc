@@ -143,49 +143,5 @@ void BM_Lemma14_SelfInclusionEager(benchmark::State& state) {
 BENCHMARK(BM_Lemma14_SelfInclusionLazy)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_Lemma14_SelfInclusionEager)->Arg(8)->Arg(16)->Arg(32);
 
-// Scaling rows for ci/parallel_gate.py: params are [n, threads], and the
-// threads=1 row runs the sequential engine, so within-bench ratios measure
-// the worker pool directly. Two shapes: the early-exit inclusion query
-// (latency to the first counterexample) and the saturating self-inclusion
-// query (full fixpoint — the shape with real parallel work). The gate only
-// enforces ratios when the recorded hardware_concurrency allows them.
-void RunLemma14Parallel(benchmark::State& state, bool self) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  PaperExample ex = FilterFamily(n);
-  Nta a = Nta::FromDtd(self ? *ex.din : *ex.dout);
-  Nta b = Nta::FromDtd(*ex.din);
-  LazyProductSpec spec;
-  spec.AddNta(&a);
-  spec.AddDeterminized(&b, /*complement=*/true);
-  LazyOptions options;
-  options.threads = threads;
-  StatusOr<EmptinessOutcome> reference = LazyEmptiness(spec, nullptr);
-  StatusOr<EmptinessOutcome> parallel = LazyEmptiness(spec, nullptr, options);
-  XTC_CHECK_MSG(reference.ok(), reference.status().ToString().c_str());
-  XTC_CHECK_MSG(parallel.ok(), parallel.status().ToString().c_str());
-  XTC_CHECK(reference->empty == parallel->empty &&
-            parallel->empty == self);
-  for (auto _ : state) {
-    StatusOr<EmptinessOutcome> out = LazyEmptiness(spec, nullptr, options);
-    XTC_CHECK_MSG(out.ok(), out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out->empty);
-  }
-  state.counters["threads"] = threads;
-  state.counters["configs"] = static_cast<double>(parallel->stats.configs);
-}
-void BM_Lemma14_InclusionParallel(benchmark::State& state) {
-  RunLemma14Parallel(state, /*self=*/false);
-}
-void BM_Lemma14_SelfInclusionParallel(benchmark::State& state) {
-  RunLemma14Parallel(state, /*self=*/true);
-}
-BENCHMARK(BM_Lemma14_InclusionParallel)
-    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
-    ->MinTime(0.25)->UseRealTime();
-BENCHMARK(BM_Lemma14_SelfInclusionParallel)
-    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
-    ->MinTime(0.25)->UseRealTime();
-
 }  // namespace
 }  // namespace xtc

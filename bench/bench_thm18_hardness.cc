@@ -128,44 +128,6 @@ BENCHMARK(BM_Thm18_InclusionLazy)->DenseRange(2, 4, 1)
 BENCHMARK(BM_Thm18_InclusionEager)->DenseRange(2, 4, 1)
     ->Unit(benchmark::kMillisecond)->MinTime(0.25);
 
-// Scaling rows for ci/parallel_gate.py: the same inclusion query at a
-// fixed instance size across worker counts; params are [n_dfas, threads],
-// and the threads=1 row is the sequential engine itself, so speedup ratios
-// are computed within one bench name. On a single-vCPU host these rows
-// measure oversubscription, not scaling — the gate reads the recorded
-// hardware_concurrency from BENCH metadata and only enforces ratios when
-// the host can physically exhibit them.
-void BM_Thm18_InclusionParallel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  std::vector<Dfa> dfas;
-  dfas.push_back(LengthModDfa(1, 2, 0));
-  for (int i = 1; i < n; ++i) dfas.push_back(LengthModDfa(1, 3, 0));
-  PaperExample ex = MakeTheorem18Instance(dfas, {"x"});
-  Nta a = Nta::FromDtd(*ex.din);
-  Nta b = Nta::FromDtd(*ex.dout);
-  LazyProductSpec spec;
-  spec.AddNta(&a);
-  spec.AddDeterminized(&b, /*complement=*/true);
-  LazyOptions options;
-  options.threads = threads;
-  StatusOr<EmptinessOutcome> reference = LazyEmptiness(spec, nullptr);
-  StatusOr<EmptinessOutcome> parallel = LazyEmptiness(spec, nullptr, options);
-  XTC_CHECK_MSG(reference.ok(), reference.status().ToString().c_str());
-  XTC_CHECK_MSG(parallel.ok(), parallel.status().ToString().c_str());
-  XTC_CHECK(reference->empty == parallel->empty);
-  for (auto _ : state) {
-    StatusOr<EmptinessOutcome> out = LazyEmptiness(spec, nullptr, options);
-    XTC_CHECK_MSG(out.ok(), out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out->empty);
-  }
-  state.counters["threads"] = threads;
-  state.counters["configs"] = static_cast<double>(parallel->stats.configs);
-}
-BENCHMARK(BM_Thm18_InclusionParallel)
-    ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8})
-    ->Unit(benchmark::kMillisecond)->MinTime(0.25)->UseRealTime();
-
 // Governor overhead: the same easy instance with and without a (generous)
 // Budget attached. The delta is the cost of the checkpoints plus arena
 // byte accounting; the acceptance bar for the governance layer is <= 5%.

@@ -69,13 +69,11 @@ import sys
 out_path, tmp_dir, passes, benches = (
     sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:])
 doc = {"format": "xtc-bench-v1", "suites": {}}
-# The *Parallel bench rows carry a [n, threads] parameter pair whose ratios
-# only mean anything relative to the physical core count of the recording
-# host; ci/parallel_gate.py reads this block and skips its speedup floors
-# when the host cannot exhibit them (e.g. the single-vCPU CI box).
+# The *Contention bench rows scale with the physical core count of the
+# recording host; ci/cache_gate.py reads this block and skips its speedup
+# floors when the host cannot exhibit them (e.g. the single-vCPU CI box).
 doc["metadata"] = {
     "hardware_concurrency": os.cpu_count() or 1,
-    "parallel_thread_counts": [1, 2, 4, 8],
 }
 # Set XTC_TSAN_CLEAN=1 after a green `ctest --preset tsan` pass to record
 # that the service-layer concurrency tests ran race-free for this snapshot.

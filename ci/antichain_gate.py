@@ -11,8 +11,8 @@ present in BOTH rows is located and the gate requires
 
 there (default min_factor 2.0). Smaller parameters are reported for
 context but not gated — the pruning win compounds with the subset-lattice
-size, so the largest common point is the honest one. Unlike the parallel
-and cache gates this one carries no core-count guard and is enforced
+size, so the largest common point is the honest one. Unlike the cache
+gate this one carries no core-count guard and is enforced
 unconditionally: both sides of each pair are single-threaded runs of the
 same engine on the same instance, so the ratio is count-driven (the Off
 side explores ~2^k configurations the On side prunes) and survives any

@@ -64,11 +64,10 @@ def main():
 
     regressions = []
     for key, base_ns in sorted(baseline.items()):
-        if "Parallel" in key[1] or "Contention" in key[1]:
+        if "Contention" in key[1]:
             # Scaling rows: their timing is a function of the host's core
             # count relative to the snapshot host's, not of the code.
-            # ci/parallel_gate.py and ci/cache_gate.py own them (each with
-            # a core-count guard).
+            # ci/cache_gate.py owns them (with a core-count guard).
             print(f"note: {key} skipped (scaling row)")
             continue
         if key not in fresh:

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -36,10 +35,9 @@ inline std::uint64_t ExSignature(std::span<const int> key,
 /// signature, each bucket holding mutually incomparable entries. Insert
 /// either prunes the newcomer (some live entry dominates it), or admits it
 /// and displaces every live entry it dominates. DESIGN.md §3e gives the
-/// soundness argument for why the lazy engines may skip pruned configs.
+/// soundness argument for why the lazy engine may skip pruned configs.
 ///
-/// Thread-compatibility: single-thread only; the parallel engine wraps
-/// per-signature stripes in SharedAntichainIndex below.
+/// Thread-compatibility: single-thread only.
 class AntichainIndex {
  public:
   /// `ex_positions`: the key positions holding existential (exact-match)
@@ -101,37 +99,6 @@ class AntichainIndex {
 
   std::vector<int> ex_positions_;
   std::unordered_map<std::uint64_t, Bucket> buckets_;
-};
-
-/// Mutex-striped AntichainIndex for the parallel engine. Comparable configs
-/// share an existential signature, hence a stripe, so dominance decisions
-/// within a comparability class are serialized; incomparable configs on
-/// different stripes proceed without contention. Insert has the same
-/// contract as AntichainIndex::Insert.
-class SharedAntichainIndex {
- public:
-  void Configure(std::vector<int> ex_positions) {
-    ex_positions_ = ex_positions;
-    for (Stripe& s : stripes_) s.index.Configure(ex_positions);
-  }
-
-  template <typename Dominates>
-  bool Insert(int id, std::span<const int> key, Dominates&& dominates,
-              std::vector<int>* displaced) {
-    Stripe& s = stripes_[ExSignature(key, ex_positions_) % kStripes];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.index.Insert(id, key, dominates, displaced);
-  }
-
- private:
-  static constexpr std::size_t kStripes = 64;
-  struct Stripe {
-    std::mutex mu;
-    AntichainIndex index;
-  };
-
-  std::vector<int> ex_positions_;
-  Stripe stripes_[kStripes];
 };
 
 }  // namespace xtc

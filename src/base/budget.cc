@@ -79,26 +79,6 @@ Status Budget::Exhaust(ExhaustionCause cause, const char* where) {
   return exhausted_status_;
 }
 
-Status Budget::ChargeSteps(std::uint64_t steps, const char* where) {
-  if (cause_ != ExhaustionCause::kNone) return exhausted_status_;
-  const std::uint64_t before = checkpoints_;
-  checkpoints_ += steps;
-  if (fail_at_ != 0 && before < fail_at_ && checkpoints_ >= fail_at_) {
-    return Exhaust(ExhaustionCause::kInjected, where);
-  }
-  if (max_steps_ != 0 && checkpoints_ > max_steps_) {
-    return Exhaust(ExhaustionCause::kSteps, where);
-  }
-  if (max_bytes_ != 0 && bytes_charged_ > max_bytes_) {
-    return Exhaust(ExhaustionCause::kBytes, where);
-  }
-  if (deadline_at_.has_value() &&
-      std::chrono::steady_clock::now() > *deadline_at_) {
-    return Exhaust(ExhaustionCause::kDeadline, where);
-  }
-  return Status::Ok();
-}
-
 Status Budget::Check(const char* where) {
   if (cause_ != ExhaustionCause::kNone) return exhausted_status_;
   ++checkpoints_;

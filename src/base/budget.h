@@ -76,25 +76,6 @@ class Budget {
   /// with the same cause.
   Status Check(const char* where);
 
-  /// Bulk checkpoint: accounts `steps` checkpoints at once and applies the
-  /// same limits (deadline re-read unconditionally, injected fault if
-  /// `fail_at` falls inside the charged range). This is the reconciliation
-  /// form used by the parallel lazy engine: workers count steps in plain
-  /// per-thread counters during an epoch and the coordinator charges the
-  /// aggregate at the epoch barrier, so the hot loop never touches the
-  /// budget (src/base/README.md — budgets stay single-thread only).
-  /// Exhaustion is detected at most one epoch late; same soft-unwind
-  /// semantics as Check().
-  Status ChargeSteps(std::uint64_t steps, const char* where);
-
-  /// The absolute steady-clock deadline, if armed. The parallel engine
-  /// snapshots this so workers can watch the clock themselves mid-epoch
-  /// (flagging a shared abort) without touching the single-thread Budget.
-  std::optional<std::chrono::steady_clock::time_point> deadline_instant()
-      const {
-    return deadline_at_;
-  }
-
   /// Account allocated bytes (never fails; exceeding the ceiling is
   /// reported by the next Check()). Hooked into Arena::Allocate.
   void ChargeBytes(std::size_t bytes) {

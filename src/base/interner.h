@@ -45,12 +45,6 @@ class SubsetInterner {
 
   int size() const { return static_cast<int>(hashes_.size()); }
 
-  /// The cached hash of the key interned as `id` — lets callers bucket ids
-  /// (e.g. the antichain signature stripes) without rehashing the key.
-  std::uint64_t HashOf(int id) const {
-    return hashes_[static_cast<std::size_t>(id)];
-  }
-
   /// Pre-sizes the table and pool for about `keys` keys of about
   /// `ints_per_key` ints each.
   void Reserve(std::size_t keys, std::size_t ints_per_key);

@@ -31,12 +31,13 @@
 
 namespace xtc {
 
-/// A single published-pointer slot for read-mostly data structures, the
-/// snapshot/RCU-style analog of the init-before-publish discipline in
-/// concurrent_interner.h: a writer fully constructs an immutable object,
-/// then Publish()es it with release semantics; readers Acquire() the
-/// current version with acquire semantics and may keep using it for as
-/// long as they hold the shared_ptr, even while newer versions land.
+/// A single published-pointer slot for read-mostly data structures, in the
+/// snapshot/RCU style. Init before publish: a writer fully constructs an
+/// immutable object, then Publish()es it with release semantics, so every
+/// write to it happens-before any read through the published pointer;
+/// readers Acquire() the current version with acquire semantics and may
+/// keep using it for as long as they hold the shared_ptr, even while newer
+/// versions land.
 ///
 /// Readers never block writers and writers never block readers — there is
 /// no mutex anywhere in this class. Old versions are reclaimed by the

@@ -74,7 +74,7 @@ class SparseStateSet {
   int universe_ = 0;
 };
 
-/// The adaptive representation the lazy engines store their determinized
+/// The adaptive representation the lazy engine stores its determinized
 /// subset masks in: word-parallel dense StateSet while the universe fits
 /// the dense sweet spot (<= dense_threshold states), sorted-sparse above
 /// it. Both sides of every comparison in one engine run share a universe
@@ -133,11 +133,11 @@ class AdaptiveStateSet {
 };
 
 /// Reusable successor accumulator for the horizontal subset steps (StepH
-/// and the lazy engines' StepDet): a dense word array sized to the
+/// and the lazy engine's StepDet): a dense word array sized to the
 /// universe, plus a touched-word list so extraction and reset cost
 /// O(touched + members) instead of the O(universe/64) that allocating and
-/// scanning a fresh StateSet per step costs. One instance per engine (or
-/// per worker in the parallel engine); not thread-safe.
+/// scanning a fresh StateSet per step costs. One instance per engine run;
+/// not thread-safe.
 class ScratchSet {
  public:
   /// Ensures capacity for the universe {0, .., num_bits-1}. The set must be

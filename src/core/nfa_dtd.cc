@@ -95,9 +95,8 @@ StatusOr<TypecheckResult> TypecheckViaDeterminization(
   // output symbols the transducer can emit. The remaining rules keep their
   // NFA form (identical language, no subset construction). Eager mode
   // keeps the historical determinize-everything behaviour as the reference.
-  // This pre-pass is engine-shape-only: options.emptiness_threads rides
-  // through untouched and picks the sequential vs. parallel frontier engine
-  // downstream (relab.cc -> LazyOptions::threads).
+  // This pre-pass is engine-shape-only: the determinized DTDs it builds
+  // are answered by the trac engine, not by lazy product emptiness.
   const bool lazy = options.emptiness_engine == EmptinessEngine::kLazy;
   StateSet needed_in, needed_out;
   if (lazy) {

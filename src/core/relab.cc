@@ -356,7 +356,6 @@ StatusOr<bool> DelRelabEmptiness(const Transducer& t, const Nta& ain,
     lazy_options.max_configs = static_cast<int>(
         std::min<std::uint64_t>(options.max_configs, 1u << 30));
     lazy_options.max_h_configs = lazy_options.max_configs;
-    lazy_options.threads = options.emptiness_threads;
     lazy_options.antichain = options.antichain;
     lazy_options.dense_threshold = options.dense_threshold;
     lazy_options.resume = options.lazy_resume;

@@ -85,10 +85,7 @@ struct TypecheckOptions {
   /// reference pipeline throughout.
   EmptinessEngine emptiness_engine = EmptinessEngine::kLazy;
 
-  /// Worker threads for the lazy emptiness engine (LazyOptions::threads).
-  /// 1 (the default) keeps the single-threaded engine; >1 shards the
-  /// frontier across a worker pool with identical verdicts and failure
-  /// semantics. Ignored by the eager engine.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int emptiness_threads = 1;
 
   /// Antichain subsumption pruning in the lazy emptiness engine

@@ -13,7 +13,6 @@
 #include "src/nta/analysis.h"
 #include "src/nta/determinize.h"
 #include "src/nta/horizontal_space.h"
-#include "src/nta/lazy_parallel.h"
 #include "src/nta/product.h"
 
 namespace xtc {
@@ -560,11 +559,6 @@ StatusOr<EmptinessOutcome> LazyEmptiness(const LazyProductSpec& spec,
       }
       return out;
     }
-  }
-  if (options.threads > 1) {
-    // The parallel engine shares the resume short-circuit above; everything
-    // past this point is the same contract, sharded across a worker pool.
-    return ParallelLazyEmptiness(spec, forest, options);
   }
   LazyEngine engine(spec, forest, options);
   return engine.Run();

@@ -113,16 +113,6 @@ struct LazyOptions {
   int max_configs = 1 << 22;
   /// Cap on joint horizontal states across all symbols.
   int max_h_configs = 1 << 22;
-  /// Worker threads for the frontier exploration. 1 (the default) runs the
-  /// single-threaded engine — byte-for-byte the PR 4 behaviour. Values > 1
-  /// shard the frontier across a worker pool (DESIGN.md §3d): per-worker
-  /// SubsetInterner caches over shared concurrent id tables, epoch-based
-  /// termination detection, a first-accepting-config early exit that
-  /// cancels peers, and budget fuel reconciled at epoch barriers. Verdicts,
-  /// witness validity, snapshot export/resume, and failure semantics are
-  /// identical to the sequential engine; only wall-clock differs. Clamped
-  /// to [1, 64].
-  int threads = 1;
   /// Antichain subsumption pruning (DESIGN.md §3e): drop newly minted
   /// configs subsumed by a live config, displace live configs a newcomer
   /// dominates. On by default; the escape hatch exists for differential

@@ -74,7 +74,8 @@ struct CompiledTransducer {
 /// atomic snapshot acquire and probe it — no mutex anywhere on the hit
 /// path. Only misses, inserts, evictions, and universe cascades take the
 /// per-shard writer mutex, mutate the authoritative map, and publish a new
-/// snapshot (init-before-publish, like concurrent_interner.h). The
+/// snapshot: the new table is fully built before its release-store
+/// publication and immutable after it, the atomic LRU stamps aside. The
 /// universe registry gets the same treatment with a single table.
 ///
 /// Eviction: approximate LRU over generation stamps. Every entry carries

@@ -250,13 +250,6 @@ StatusOr<ServiceRequest> ParseServiceRequest(std::string_view json_line) {
     }
     request.approximate_fallback = approx->AsBool();
   }
-  if (const JsonValue* threads = doc.Find("threads")) {
-    if (threads->kind() != JsonValue::Kind::kNumber ||
-        threads->AsNumber() < 1) {
-      return FieldError("threads", "must be a number >= 1");
-    }
-    request.threads = static_cast<int>(std::llround(threads->AsNumber()));
-  }
   if (const JsonValue* antichain = doc.Find("antichain")) {
     if (antichain->kind() != JsonValue::Kind::kBool) {
       return FieldError("antichain", "must be a bool");
@@ -415,9 +408,6 @@ std::string ServiceRequestToJson(const ServiceRequest& request) {
   }
   if (request.engine == TypecheckEngine::kDelRelab) {
     o.Set("engine", JsonValue::Str("delrelab"));
-  }
-  if (request.threads > 1) {
-    o.Set("threads", JsonValue::Number(static_cast<double>(request.threads)));
   }
   if (request.antichain >= 0) {
     o.Set("antichain", JsonValue::Bool(request.antichain != 0));

@@ -126,10 +126,7 @@ struct ServiceRequest {
   bool want_counterexample = true;
   bool approximate_fallback = false;
   TypecheckEngine engine = TypecheckEngine::kAuto;
-  /// Worker threads for the lazy emptiness exploration (wire field
-  /// `threads`, default 1 = sequential). The service clamps this to
-  /// [1, Options::max_request_threads] at execution, so a client can ask
-  /// but the operator bounds the per-request fan-out.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int threads = 1;
   /// Antichain subsumption pruning in the lazy emptiness engine (wire field
   /// `antichain`). Tri-state: -1 defers to the service's configured

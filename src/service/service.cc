@@ -459,15 +459,6 @@ ServiceResponse TypecheckService::Execute(
       options.budget = budget_ptr;
       options.want_counterexample = request.want_counterexample;
       options.approximate_fallback = request.approximate_fallback;
-      // Per-request engine parallelism, operator-clamped. The pool worker
-      // running this request acts as the parallel engine's coordinator, so
-      // `threads == n` adds n-1 transient threads for the emptiness phase.
-      const int max_threads =
-          options_.max_request_threads > 0 ? options_.max_request_threads : 1;
-      options.emptiness_threads =
-          request.threads > max_threads ? max_threads
-          : request.threads > 1        ? request.threads
-                                       : 1;
       // Antichain knobs: a request's explicit setting wins; the unset
       // tri-state defers to the operator's configured default.
       options.antichain = request.antichain >= 0 ? request.antichain != 0

@@ -167,11 +167,7 @@ class TypecheckService {
     /// hostile schemas).
     int approximate_max_dfa_states = 1 << 14;
 
-    /// Upper bound on the per-request `threads` wire field (the parallel
-    /// lazy emptiness engine's worker count). Requests asking for more are
-    /// clamped, not rejected; 1 disables request-driven parallelism
-    /// entirely. The product num_threads * max_request_threads bounds the
-    /// process's worst-case engine thread count.
+    /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
     int max_request_threads = 8;
 
     /// Default for requests whose `antichain` wire field is unset:

@@ -1,22 +1,18 @@
 // Antichain subsumption pruning (DESIGN.md §3e) and its supporting data
 // structures: unit tests for the adaptive state sets and the antichain
 // index, a differential sweep proving pruning never changes verdicts or
-// invalidates witnesses at any thread count, snapshot round-trips with
-// pruning, and the parallel fault-injection untorn-snapshot check with the
-// antichain layer on.
+// invalidates witnesses, snapshot round-trips with pruning, and the
+// fault-injection untorn-snapshot check with the antichain layer on.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/base/antichain.h"
 #include "src/base/arena.h"
 #include "src/base/budget.h"
-#include "src/base/concurrent_interner.h"
 #include "src/base/sparse_state_set.h"
 #include "src/nta/lazy.h"
 #include "src/nta/nta.h"
@@ -145,62 +141,6 @@ TEST(AntichainIndexTest, PruneAndDisplace) {
   EXPECT_TRUE(index.Insert(4, low, ToyDominates, &displaced));
 }
 
-TEST(SharedAntichainIndexTest, ConcurrentOffersKeepOneWinnerPerClass) {
-  // Many threads offer configs in the same comparability class; the chain
-  // ordering means exactly one entry (the maximum offered) survives, and
-  // every id except the winner's is either pruned at insert or displaced
-  // exactly once. Counting both must account for every offer.
-  SharedAntichainIndex index;
-  index.Configure({0});
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 64;
-  std::atomic<int> pruned{0};
-  std::atomic<int> displaced_total{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&index, &pruned, &displaced_total, t] {
-      std::vector<int> displaced;
-      for (int i = 0; i < kPerThread; ++i) {
-        const int id = t * kPerThread + i;
-        const std::vector<int> key = {42, (id * 2654435761u) % 977};
-        displaced.clear();
-        if (index.Insert(id, key, ToyDominates, &displaced)) {
-          pruned.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          displaced_total.fetch_add(static_cast<int>(displaced.size()),
-                                    std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(pruned.load() + displaced_total.load(), kThreads * kPerThread - 1);
-}
-
-TEST(TombstoneLogTest, ExactlyOneSetterWinsPerId) {
-  TombstoneLog log(1 << 14);
-  EXPECT_FALSE(log.Test(0));
-  EXPECT_FALSE(log.Test(10000));  // segment not allocated yet
-  EXPECT_TRUE(log.Set(10000));
-  EXPECT_FALSE(log.Set(10000));
-  EXPECT_TRUE(log.Test(10000));
-  EXPECT_FALSE(log.Test(9999));
-
-  std::atomic<int> wins{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&log, &wins] {
-      for (int id = 0; id < 512; ++id) {
-        if (log.Set(id)) wins.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(wins.load(), 512);
-  for (int id = 0; id < 512; ++id) EXPECT_TRUE(log.Test(id));
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level differential properties. Same query construction as
 // lazy_determinize_test.cc: the inclusion L(din) ⊆ L(dout) as
@@ -281,13 +221,11 @@ PrunableQuery MakePrunable(int k, int pad) {
   return q;
 }
 
-constexpr int kThreadSweep[] = {1, 2, 4, 8};
-
-TEST(AntichainTest, VerdictsAndWitnessesMatchAcrossPruningAndThreads) {
+TEST(AntichainTest, VerdictsAndWitnessesMatchAcrossPruning) {
   // The headline differential sweep: 80 random inclusion instances, the
-  // antichain layer on and off, at 1/2/4/8 threads — one verdict per
-  // instance, and every non-empty run's witness must be a genuine
-  // counterexample regardless of which configs pruning skipped.
+  // antichain layer on and off — one verdict per instance, and every
+  // non-empty run's witness must be a genuine counterexample regardless of
+  // which configs pruning skipped.
   int nonempty = 0;
   for (std::uint32_t seed = 1; seed <= 80; ++seed) {
     InclusionQuery q = MakeInclusion(seed);
@@ -298,39 +236,30 @@ TEST(AntichainTest, VerdictsAndWitnessesMatchAcrossPruningAndThreads) {
     ASSERT_TRUE(reference.ok())
         << "seed " << seed << ": " << reference.status().ToString();
     if (!reference->empty) ++nonempty;
-    for (const int threads : kThreadSweep) {
-      for (const bool antichain : {false, true}) {
-        LazyOptions options;
-        options.threads = threads;
-        options.antichain = antichain;
-        SharedForest forest;
-        StatusOr<EmptinessOutcome> out =
-            LazyEmptiness(q.spec, &forest, options);
-        ASSERT_TRUE(out.ok())
-            << "seed " << seed << " threads " << threads << " antichain "
-            << antichain << ": " << out.status().ToString();
-        EXPECT_EQ(out->empty, reference->empty)
-            << "seed " << seed << " threads " << threads << " antichain "
-            << antichain;
-        if (!antichain) {
-          EXPECT_EQ(out->stats.pruned_configs, 0u) << "seed " << seed;
-          EXPECT_EQ(out->stats.displaced_configs, 0u) << "seed " << seed;
-        }
-        if (!out->empty) {
-          ASSERT_GE(out->witness, 0)
-              << "seed " << seed << " threads " << threads;
-          Arena arena;
-          TreeBuilder builder(&arena);
-          StatusOr<Node*> tree =
-              forest.Materialize(out->witness, &builder, 1 << 20);
-          ASSERT_TRUE(tree.ok())
-              << "seed " << seed << " threads " << threads << " antichain "
-              << antichain << ": " << tree.status().ToString();
-          EXPECT_TRUE(q.a->Accepts(*tree))
-              << "seed " << seed << " threads " << threads;
-          EXPECT_FALSE(q.b->Accepts(*tree))
-              << "seed " << seed << " threads " << threads;
-        }
+    for (const bool antichain : {false, true}) {
+      LazyOptions options;
+      options.antichain = antichain;
+      SharedForest forest;
+      StatusOr<EmptinessOutcome> out = LazyEmptiness(q.spec, &forest, options);
+      ASSERT_TRUE(out.ok()) << "seed " << seed << " antichain " << antichain
+                            << ": " << out.status().ToString();
+      EXPECT_EQ(out->empty, reference->empty)
+          << "seed " << seed << " antichain " << antichain;
+      if (!antichain) {
+        EXPECT_EQ(out->stats.pruned_configs, 0u) << "seed " << seed;
+        EXPECT_EQ(out->stats.displaced_configs, 0u) << "seed " << seed;
+      }
+      if (!out->empty) {
+        ASSERT_GE(out->witness, 0) << "seed " << seed;
+        Arena arena;
+        TreeBuilder builder(&arena);
+        StatusOr<Node*> tree =
+            forest.Materialize(out->witness, &builder, 1 << 20);
+        ASSERT_TRUE(tree.ok()) << "seed " << seed << " antichain "
+                               << antichain << ": "
+                               << tree.status().ToString();
+        EXPECT_TRUE(q.a->Accepts(*tree)) << "seed " << seed;
+        EXPECT_FALSE(q.b->Accepts(*tree)) << "seed " << seed;
       }
     }
   }
@@ -359,18 +288,6 @@ TEST(AntichainTest, PruningShrinksThePrunableFamily) {
         << "pad " << pad;
     EXPECT_LT(pruned->stats.configs, full->stats.configs) << "pad " << pad;
     EXPECT_EQ(full->stats.pruned_configs, 0u);
-
-    // The parallel engine prunes the same family (counts may differ by
-    // schedule; the verdict and the did-prune signal may not).
-    LazyOptions par = on;
-    par.threads = 4;
-    StatusOr<EmptinessOutcome> parallel = LazyEmptiness(q.spec, nullptr, par);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(parallel->empty);
-    EXPECT_GT(
-        parallel->stats.pruned_configs + parallel->stats.displaced_configs,
-        0u)
-        << "pad " << pad;
   }
 }
 
@@ -493,12 +410,11 @@ TEST(AntichainTest, PrunedSnapshotMarksAndCountsPruning) {
   EXPECT_EQ(unpruned.pruned_configs, 0u);
 }
 
-TEST(AntichainParallelTest, FaultInjectionWithPruningIsCleanAndUntorn) {
-  // The parallel fault sweep of lazy_determinize_test, with the antichain
-  // layer explicitly on: every tripped run unwinds with
-  // kResourceExhausted and exports no torn tables; untripped runs stay
-  // correct. Pruning must not let a half-built antichain leak into a
-  // snapshot or wedge an epoch barrier.
+TEST(AntichainTest, FaultInjectionWithPruningIsCleanAndUntorn) {
+  // Deterministic fault sweep with the antichain layer explicitly on:
+  // every tripped run unwinds with kResourceExhausted and exports no torn
+  // tables; untripped runs stay correct. Pruning must not let a half-built
+  // antichain leak into a snapshot.
   for (std::uint32_t seed : {3u, 7u, 11u}) {
     InclusionQuery q = MakeInclusion(seed);
     StatusOr<EmptinessOutcome> reference = LazyEmptiness(q.spec, nullptr);
@@ -508,7 +424,6 @@ TEST(AntichainParallelTest, FaultInjectionWithPruningIsCleanAndUntorn) {
       budget.set_fail_at_checkpoint(fail_at);
       LazySnapshot snapshot;
       LazyOptions options;
-      options.threads = 4;
       options.antichain = true;
       options.budget = &budget;
       options.export_snapshot = &snapshot;
@@ -535,18 +450,14 @@ TEST(AntichainParallelTest, FaultInjectionWithPruningIsCleanAndUntorn) {
   }
 }
 
-TEST(AntichainParallelTest, PrunableFamilyAcrossThreadCounts) {
-  // The constructed family under the parallel engine: the verdict is
-  // schedule-independent even though which configs get pruned is not.
+TEST(AntichainTest, LargerSparsePrunableFamilyStaysEmpty) {
+  // A larger instance of the constructed family, past the sparse
+  // threshold: pruning keeps the verdict empty and actually fires.
   PrunableQuery q = MakePrunable(/*k=*/6, /*pad=*/kDefaultDenseThreshold + 64);
-  for (const int threads : kThreadSweep) {
-    LazyOptions options;
-    options.threads = threads;
-    StatusOr<EmptinessOutcome> out = LazyEmptiness(q.spec, nullptr, options);
-    ASSERT_TRUE(out.ok()) << "threads " << threads << ": "
-                          << out.status().ToString();
-    EXPECT_TRUE(out->empty) << "threads " << threads;
-  }
+  StatusOr<EmptinessOutcome> out = LazyEmptiness(q.spec, nullptr);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out->empty);
+  EXPECT_GT(out->stats.pruned_configs + out->stats.displaced_configs, 0u);
 }
 
 }  // namespace
