@@ -1,15 +1,20 @@
 // Experiment E6 / Ablation A1 — Theorem 37: DTD(RE+) schemas admit PTIME
 // typechecking for ARBITRARY transducers. The copying width sweep shows the
 // crossover the paper predicts: the Lemma 14 engine is exponential in the
-// copying width while the Section 5 grammar engine and the Section 6
-// t_min/t_vast engine stay polynomial.
+// copying width while the Section 5 grammar engine (a test oracle, off the
+// production path) and the Section 6 t_min/t_vast engine (what Typecheck()
+// runs) stay polynomial.
 
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
 
 #include "src/base/logging.h"
 #include "src/core/minvast.h"
 #include "src/core/replus.h"
 #include "src/core/trac.h"
+#include "src/core/typecheck.h"
+#include "src/tree/tree.h"
 #include "src/workload/families.h"
 
 namespace xtc {
@@ -41,6 +46,42 @@ void BM_RePlus_MinVastEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_RePlus_MinVastEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Arg(32);
+
+// The front door: Route() sends every DTD(RE+) instance to min/vast, so this
+// row should track BM_RePlus_MinVastEngine, not the Lemma 14 comparison.
+void BM_RePlus_Typecheck(benchmark::State& state) {
+  PaperExample ex = RePlusCopyFamily(static_cast<int>(state.range(0)));
+  TypecheckOptions opts;
+  opts.want_counterexample = false;
+  for (auto _ : state) {
+    StatusOr<TypecheckResult> r =
+        Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
+    XTC_CHECK(r.ok() && r->typechecks);
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["copy_width"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_RePlus_Typecheck)->DenseRange(2, 12, 2);
+
+// Witness size on the chain whose only t_min/t_vast counterexample is
+// t_vast ((4^{d+1}-1)/3 nodes unshrunk): Typecheck() shrinks it on the DAG
+// before materializing. `witness_nodes` should equal the Lemma 14 engine's
+// 2^{d+1}.
+void BM_RePlus_VastChainWitness(benchmark::State& state) {
+  const int d = static_cast<int>(state.range(0));
+  PaperExample ex = RePlusVastChainFamily(d);
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    StatusOr<TypecheckResult> r = Typecheck(*ex.transducer, *ex.din, *ex.dout);
+    XTC_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+    XTC_CHECK(!r->typechecks && r->counterexample != nullptr);
+    nodes = NodeCount(r->counterexample);
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["depth"] = d;
+  state.counters["witness_nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_RePlus_VastChainWitness)->DenseRange(4, 10, 2);
 
 // Ablation: the same instances through the Lemma 14 engine, which pays
 // |dout|^{C·K}. The sweep stops early — that is the point.

@@ -13,6 +13,8 @@ set(forbidden
   TombstoneLog
   Budget::ChargeSteps
   # Reference engines and generators that the request path never reaches.
+  # TypecheckRePlus, the Section 5 grammar engine, is min/vast's test oracle.
+  TypecheckRePlus
   BuildCounterexampleNta
   MakeTheorem18Instance
   MakeTheorem28Instance

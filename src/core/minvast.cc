@@ -1,6 +1,10 @@
 #include "src/core/minvast.h"
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <vector>
 
 #include "src/base/logging.h"
 #include "src/schema/witness.h"
@@ -14,6 +18,8 @@ namespace {
 // polynomial in the DAG size even when t unfolds exponentially.
 class SymbolicChecker {
  public:
+  // `forest` may grow while the checker lives (the shrinker interns new
+  // nodes); ids never change, so memo entries stay valid.
   SymbolicChecker(const Transducer& t, const Dtd& dout,
                   const SharedForest& forest, Budget* budget)
       : t_(t), dout_(dout), forest_(forest), budget_(budget) {}
@@ -122,6 +128,82 @@ class SymbolicChecker {
   std::map<std::tuple<int, int, int>, std::vector<int>> eff_memo_;
 };
 
+// Shrinks a counterexample on the DAG by verified substitution before it is
+// materialized (t_vast unfolds exponentially; Lemma 14's witnesses do not).
+// Two moves, both of which keep the tree inside d_in: replace a subtree by
+// t_min of its label, or cut a child the label's RE+ rule can spare (one
+// copy of a doubled + run). A move is kept only if T(tree) still violates
+// d_out. New ids are hash-consed into the same forest, so the checker's
+// memo stays valid across tries and each try only evaluates the rebuilt
+// path to the root.
+class Shrinker {
+ public:
+  Shrinker(const Dtd& din, RePlusWitnesses* witnesses,
+           SymbolicChecker* checker)
+      : din_(din), w_(*witnesses), checker_(*checker) {}
+
+  int Shrink(int root) {
+    return ShrinkAt(root, [](int n) { return n; });
+  }
+
+ private:
+  // Maps a replacement for the node under focus to the root of the whole
+  // tree with that replacement plugged in.
+  using Plug = std::function<int(int)>;
+
+  // Whether shrinking is over: the try cap is reached or the budget has
+  // latched. From then on no move is tried and no position is visited, so
+  // the walk stops with the tries instead of covering the unfolded tree.
+  bool Done() const { return tries_ >= kMaxTries || !checker_.status().ok(); }
+
+  // Whether the tree rooted at `root` is still a counterexample. Callers
+  // check Done() first.
+  bool Fails(int root) {
+    ++tries_;
+    return !checker_.OutputConforms(root);
+  }
+
+  // Returns a replacement for `node` such that plug(replacement) is still
+  // a counterexample.
+  int ShrinkAt(int node, const Plug& plug) {
+    const int label = w_.forest.label(node);
+    const int t_min = w_.t_min[static_cast<std::size_t>(label)];
+    if (node == t_min || Done()) return node;
+    if (Fails(plug(t_min))) return t_min;
+    std::vector<int> kids = w_.forest.children(node);
+    const RePlus& rule = *din_.RuleRePlus(label);
+    for (std::size_t j = 0; j < kids.size() && !Done();) {
+      std::vector<int> cut = kids;
+      cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(j));
+      std::vector<int> word;
+      for (int c : cut) word.push_back(w_.forest.label(c));
+      if (rule.Matches(word) && Fails(plug(w_.forest.Make(label, cut)))) {
+        kids = std::move(cut);
+      } else {
+        ++j;
+      }
+    }
+    for (std::size_t j = 0; j < kids.size() && !Done(); ++j) {
+      kids[j] = ShrinkAt(kids[j], [&](int n) {
+        std::vector<int> k = kids;
+        k[j] = n;
+        return plug(w_.forest.Make(label, k));
+      });
+    }
+    return w_.forest.Make(label, kids);
+  }
+
+  // Bounds the tries, each polynomial in the DAG. Every visited position
+  // other than a t_min costs a try, and Done() ends the walk, so shrinking
+  // stays polynomial even where the counterexample cannot be made small.
+  static constexpr std::uint64_t kMaxTries = std::uint64_t{1} << 16;
+
+  const Dtd& din_;
+  RePlusWitnesses& w_;
+  SymbolicChecker& checker_;
+  std::uint64_t tries_ = 0;
+};
+
 }  // namespace
 
 StatusOr<TypecheckResult> TypecheckMinVast(const Transducer& t, const Dtd& din,
@@ -178,9 +260,14 @@ StatusOr<TypecheckResult> TypecheckMinVast(const Transducer& t, const Dtd& din,
   }
   result.typechecks = false;
   if (options.want_counterexample) {
-    StatusOr<Node*> tree =
-        witnesses->forest.Materialize(bad, &builder, std::uint64_t{1} << 20);
-    if (tree.ok()) result.counterexample = *tree;
+    if (bad != t_min) {
+      Shrinker shrinker(din, &*witnesses, &checker);
+      bad = shrinker.Shrink(bad);
+      XTC_RETURN_IF_ERROR(checker.status());
+    }
+    XTC_ASSIGN_OR_RETURN(result.counterexample,
+                         witnesses->forest.Materialize(
+                             bad, &builder, kMaxCounterexampleNodes));
   }
   finalize();
   return result;

@@ -4,8 +4,8 @@
 
 #include "src/base/budget.h"
 #include "src/core/approximate.h"
+#include "src/core/minvast.h"
 #include "src/core/nfa_dtd.h"
-#include "src/core/replus.h"
 #include "src/core/trac.h"
 #include "src/td/classes.h"
 #include "src/td/compile_selectors.h"
@@ -15,48 +15,58 @@
 namespace xtc {
 namespace {
 
-// The exact-engine dispatch (selectors already compiled away).
+// Runs the engine `route` names (selectors already compiled away).
 StatusOr<TypecheckResult> TypecheckExact(const Transducer& t, const Dtd& din,
                                          const Dtd& dout,
-                                         const TypecheckOptions& options) {
-  // DTD(NFA) schemas: swap in a cached determinization when the caller has
-  // one, otherwise determinize here (the PSPACE price), then re-dispatch.
-  if (!din.IsDfaDtd() || !dout.IsDfaDtd()) {
-    const Dtd* ein = &din;
-    const Dtd* eout = &dout;
-    if (!din.IsDfaDtd() && options.din_determinized != nullptr) {
-      ein = options.din_determinized;
-    }
-    if (!dout.IsDfaDtd() && options.dout_determinized != nullptr) {
-      eout = options.dout_determinized;
-    }
-    if (!ein->IsDfaDtd() || !eout->IsDfaDtd()) {
-      return TypecheckViaDeterminization(t, *ein, *eout, options);
-    }
-    return TypecheckExact(t, *ein, *eout, options);
+                                         const TypecheckOptions& options,
+                                         TypecheckRoute route) {
+  if (route.engine == RouteEngine::kMinVast) {
+    return TypecheckMinVast(t, din, dout, options);
   }
-
-  WidthAnalysis local_widths;
-  const WidthAnalysis* widths = options.widths;
-  if (widths == nullptr) {
-    local_widths = AnalyzeWidths(t);
-    widths = &local_widths;
+  if (route.engine != RouteEngine::kTrac) {
+    return UnimplementedError(
+        "instance is outside the paper's tractable fragments (unbounded "
+        "deletion path width with non-RE+ schemas is PSPACE/coNP-hard; "
+        "Theorems 18 and 28) — use TypecheckBruteForce for bounded "
+        "checking");
   }
-  if (widths->dpw_bounded) {
-    // T_trac: the Lemma 14 engine (Theorem 15), PTIME for fixed C, K.
+  if (route.cell != Table1Cell::kNfa) {
     return TypecheckTrac(t, din, dout, options);
   }
-  if (din.IsRePlusDtd() && dout.IsRePlusDtd()) {
-    // Unbounded copying/deletion but RE+ schemas: Theorem 37.
-    return TypecheckRePlus(t, din, dout, options);
+  // DTD(NFA) schemas: swap in a cached determinization when the caller has
+  // one, otherwise determinize here (the PSPACE price).
+  const Dtd* ein = &din;
+  const Dtd* eout = &dout;
+  if (!din.IsDfaDtd() && options.din_determinized != nullptr) {
+    ein = options.din_determinized;
   }
-  return UnimplementedError(
-      "instance is outside the paper's tractable fragments (unbounded "
-      "deletion path width with non-RE+ schemas is PSPACE/coNP-hard; "
-      "Theorems 18 and 28) — use TypecheckBruteForce for bounded checking");
+  if (!dout.IsDfaDtd() && options.dout_determinized != nullptr) {
+    eout = options.dout_determinized;
+  }
+  if (!ein->IsDfaDtd() || !eout->IsDfaDtd()) {
+    return TypecheckViaDeterminization(t, *ein, *eout, options);
+  }
+  return TypecheckTrac(t, *ein, *eout, options);
 }
 
 }  // namespace
+
+TypecheckRoute Route(const Transducer& t, const Dtd& din, const Dtd& dout,
+                     const TypecheckOptions& options) {
+  // min/vast reads only the RE+ rules of d_in and the complete rule DFAs of
+  // d_out, so this cell needs neither widths nor determinization.
+  if (din.IsRePlusDtd() && dout.IsRePlusDtd()) {
+    return {Table1Cell::kRePlus, RouteEngine::kMinVast};
+  }
+  const bool dpw_bounded = options.widths != nullptr
+                               ? options.widths->dpw_bounded
+                               : AnalyzeWidths(t).dpw_bounded;
+  const Table1Cell cell = !din.IsDfaDtd() || !dout.IsDfaDtd()
+                              ? Table1Cell::kNfa
+                          : dpw_bounded ? Table1Cell::kDfaBoundedDpw
+                                        : Table1Cell::kIntractable;
+  return {cell, dpw_bounded ? RouteEngine::kTrac : RouteEngine::kUnimplemented};
+}
 
 bool VerifyCounterexample(const Transducer& t, const Dtd& din, const Dtd& dout,
                           const Node* tree) {
@@ -85,13 +95,18 @@ StatusOr<TypecheckResult> Typecheck(const Transducer& t, const Dtd& din,
     effective_options.widths = nullptr;
   }
 
+  const TypecheckRoute route =
+      Route(*effective, din, dout, effective_options);
   StatusOr<TypecheckResult> exact =
-      TypecheckExact(*effective, din, dout, effective_options);
-  if (exact.ok() && exact->stats.elapsed_ms == 0) {
+      TypecheckExact(*effective, din, dout, effective_options, route);
+  if (exact.ok()) {
+    exact->stats.route = route;
     // Engines stamp governed runs from their Budget; the front door covers
     // whatever is left (including selector compilation) so service latency
     // telemetry is never zero.
-    exact->stats.elapsed_ms = timer.elapsed_ms();
+    if (exact->stats.elapsed_ms == 0) {
+      exact->stats.elapsed_ms = timer.elapsed_ms();
+    }
   }
   if (exact.ok() || !options.approximate_fallback ||
       exact.status().code() != StatusCode::kResourceExhausted) {
@@ -123,6 +138,7 @@ StatusOr<TypecheckResult> Typecheck(const Transducer& t, const Dtd& din,
   result.approximate = true;
   result.exact_status = exact.status();
   result.stats = approx->stats;
+  result.stats.route = route;
   if (fallback_budget != nullptr) {
     result.stats.budget_checkpoints = fallback_budget->checkpoints();
     result.stats.budget_bytes = fallback_budget->bytes_charged();

@@ -16,6 +16,30 @@
 
 namespace xtc {
 
+/// The Table 1 cell an instance falls in, as Route() classifies it.
+enum class Table1Cell : std::uint8_t {
+  kNone,           ///< not routed: an engine was called directly
+  kRePlus,         ///< DTD(RE+) on both sides, any transducer (Theorem 37)
+  kDfaBoundedDpw,  ///< DTD(DFA), bounded deletion path width (Theorem 15)
+  kNfa,            ///< a DTD(NFA) schema: Table 1's PSPACE row
+  kIntractable,    ///< unbounded dpw, non-RE+ schemas (Theorems 18/28)
+};
+
+/// The engine Route() picks for a cell.
+enum class RouteEngine : std::uint8_t {
+  kNone,           ///< not routed: an engine was called directly
+  kMinVast,        ///< Section 6's t_min/t_vast check (TypecheckMinVast)
+  kTrac,           ///< the Lemma 14 engine (TypecheckTrac)
+  kUnimplemented,  ///< no engine: Typecheck() answers kUnimplemented
+};
+
+struct TypecheckRoute {
+  Table1Cell cell = Table1Cell::kNone;
+  RouteEngine engine = RouteEngine::kNone;
+
+  bool operator==(const TypecheckRoute&) const = default;
+};
+
 /// Instrumentation counters shared by the typechecking engines; benches
 /// report these next to wall-clock times (they track the paper's size
 /// bounds, e.g. Lemma 14's automaton size).
@@ -37,6 +61,10 @@ struct TypecheckStats {
   std::uint64_t budget_bytes = 0;        ///< arena bytes charged
   double elapsed_ms = 0;                 ///< wall-clock of the governed run
   ExhaustionCause exhaustion = ExhaustionCause::kNone;  ///< why it stopped
+
+  /// The Table 1 cell and engine that produced the answer; Typecheck()
+  /// stamps it from Route(), direct engine calls leave it kNone.
+  TypecheckRoute route;
 };
 
 /// Outcome of a typechecking run (Definition 9). When the instance does not
@@ -132,12 +160,25 @@ struct TypecheckOptions {
 bool VerifyCounterexample(const Transducer& t, const Dtd& din, const Dtd& dout,
                           const Node* tree);
 
-/// Front door: dispatches to the paper's algorithms by scenario. Selectors
-/// are compiled away (Theorems 23/29); DTD(NFA) schemas are determinized
-/// (the PSPACE price of Table 1); transducers with bounded deletion path
-/// width run the Lemma 14 engine (Theorem 15); unbounded transducers over
-/// DTD(RE+) run the Section 5 algorithm (Theorem 37). Everything else is
-/// provably intractable (Theorems 18/28) and is reported as such.
+/// The Table 1 dispatch, decided without running anything. `t` must be
+/// selector-free (Typecheck() compiles selectors away first). In order:
+///  - DTD(RE+) on both sides: min/vast, for every transducer (Theorem 37,
+///    Corollary 38);
+///  - DTD(DFA) with bounded deletion path width: trac (Theorem 15);
+///  - a DTD(NFA) schema: determinize, then route again — the determinized
+///    schemas are DTD(DFA) but not DTD(RE+), so this is trac when the
+///    deletion path width is bounded (the PSPACE price of Table 1);
+///  - anything else is provably intractable (Theorems 18/28) and gets no
+///    engine.
+/// The width analysis comes from `options.widths` when set; otherwise it is
+/// computed here, and only when the RE+ cell does not apply.
+TypecheckRoute Route(const Transducer& t, const Dtd& din, const Dtd& dout,
+                     const TypecheckOptions& options = {});
+
+/// Front door: compiles selectors away (Theorems 23/29), runs the engine
+/// Route() picks and stamps the route into the result's stats. Instances
+/// that route to no engine fail with kUnimplemented (use
+/// TypecheckBruteForce for bounded checking).
 StatusOr<TypecheckResult> Typecheck(const Transducer& t, const Dtd& din,
                                     const Dtd& dout,
                                     const TypecheckOptions& options = {});

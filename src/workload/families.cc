@@ -1,5 +1,8 @@
 #include "src/workload/families.h"
 
+#include <string>
+#include <vector>
+
 #include "src/base/logging.h"
 
 namespace xtc {
@@ -137,6 +140,40 @@ PaperExample RePlusCopyFamily(int n) {
   MustSetRule(ex.transducer.get(), "q", "a", "a");
   ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
   MustSetDtdRule(ex.dout.get(), "r", "a+");
+  return ex;
+}
+
+PaperExample RePlusVastChainFamily(int d) {
+  XTC_CHECK_GE(d, 1);
+  PaperExample ex;
+  ex.alphabet = std::make_shared<Alphabet>();
+  ex.alphabet->Intern("r");
+  auto x = [](int i) { return "x" + std::to_string(i); };
+  auto y = [](int i) { return "y" + std::to_string(i); };
+  for (int i = 1; i <= d; ++i) {
+    ex.alphabet->Intern(x(i));
+    ex.alphabet->Intern(y(i));
+  }
+  const int r = *ex.alphabet->Find("r");
+  ex.din = std::make_shared<Dtd>(ex.alphabet.get(), r);
+  ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), r);
+  ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
+  ex.transducer->SetInitial(ex.transducer->AddState("q"));
+  MustSetRule(ex.transducer.get(), "q", "r", "r(q)");
+  for (int i = 0; i < d; ++i) {
+    const std::string kids = x(i + 1) + "+ " + y(i + 1) + "+";
+    const std::string bottom = x(i + 1) + " " + y(i + 1);
+    for (const std::string& parent :
+         i == 0 ? std::vector<std::string>{"r"}
+                : std::vector<std::string>{x(i), y(i)}) {
+      MustSetDtdRule(ex.din.get(), parent, kids);
+      MustSetDtdRule(ex.dout.get(), parent, i + 1 == d ? bottom : kids);
+    }
+  }
+  for (int i = 1; i <= d; ++i) {
+    MustSetRule(ex.transducer.get(), "q", x(i), x(i) + "(q)");
+    MustSetRule(ex.transducer.get(), "q", y(i), y(i) + "(q)");
+  }
   return ex;
 }
 

@@ -27,6 +27,13 @@ PaperExample RelabFamily(int n);
 /// the trac engine is exponential in n here, the Section 5 engine is not.
 PaperExample RePlusCopyFamily(int n);
 
+/// A failing DTD(RE+) chain of depth d >= 1 under the identity transducer:
+/// the root and every x_i/y_i above level d have children x_{i+1}+ y_{i+1}+,
+/// and d_out demands exactly x_d y_d below level d-1. t_min typechecks and
+/// only t_vast, with (4^{d+1}-1)/3 nodes, is a counterexample; the smallest
+/// one (one extra x_d) has 2^{d+1} nodes.
+PaperExample RePlusVastChainFamily(int d);
+
 /// Child-only XPath pattern of length n (Theorem 23 scaling).
 PaperExample XPathChainFamily(int n);
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+#include "src/base/budget.h"
 #include "src/core/brute_force.h"
 #include "src/core/minvast.h"
 #include "src/core/trac.h"
@@ -112,9 +117,11 @@ TEST(MinVastTest, AgreesOnBookInstances) {
                                    r2->counterexample));
 }
 
-// Property sweep: the grammar engine, the t_min/t_vast engine, and (when
-// applicable) the Lemma 14 engine agree on random DTD(RE+) instances; all
-// reported counterexamples verify.
+// Property sweep: min/vast (the production engine for DTD(RE+); Route()
+// sends every such instance to it) agrees with the Section 5 grammar
+// engine, with brute force, and with the Lemma 14 engine where the widths
+// allow it. Every "fails" carries a verified counterexample, and min/vast's
+// is at most twice the size of the Lemma 14 engine's.
 class RePlusRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RePlusRandomTest, EnginesAgree) {
@@ -128,11 +135,23 @@ TEST_P(RePlusRandomTest, EnginesAgree) {
   ASSERT_TRUE(grammar.ok()) << grammar.status().ToString();
   StatusOr<TypecheckResult> minvast =
       TypecheckMinVast(*ex.transducer, *ex.din, *ex.dout);
-  ASSERT_TRUE(minvast.ok());
+  ASSERT_TRUE(minvast.ok()) << minvast.status().ToString();
   EXPECT_EQ(grammar->typechecks, minvast->typechecks);
   if (!grammar->typechecks && grammar->counterexample != nullptr) {
     EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
                                      grammar->counterexample));
+  }
+  if (!minvast->typechecks) {
+    ASSERT_NE(minvast->counterexample, nullptr);
+    EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                     minvast->counterexample));
+  }
+  StatusOr<TypecheckResult> brute =
+      TypecheckBruteForce(*ex.transducer, *ex.din, *ex.dout);
+  ASSERT_TRUE(brute.ok()) << brute.status().ToString();
+  // Brute force is complete only within its bounds.
+  if (!brute->typechecks) {
+    EXPECT_FALSE(minvast->typechecks);
   }
   // Cross-check with the Lemma 14 engine when the widths allow it.
   WidthAnalysis w = AnalyzeWidths(*ex.transducer);
@@ -141,10 +160,111 @@ TEST_P(RePlusRandomTest, EnginesAgree) {
         TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
     ASSERT_TRUE(trac.ok());
     EXPECT_EQ(trac->typechecks, grammar->typechecks);
+    if (!trac->typechecks && !minvast->typechecks) {
+      ASSERT_NE(trac->counterexample, nullptr);
+      EXPECT_LE(NodeCount(minvast->counterexample),
+                2 * NodeCount(trac->counterexample));
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RePlusRandomTest, ::testing::Range(0, 60));
+INSTANTIATE_TEST_SUITE_P(Seeds, RePlusRandomTest, ::testing::Range(0, 300));
+
+// Only t_vast is a counterexample here, and it unfolds to (4^{d+1}-1)/3
+// nodes (over the materialization cap at d = 10). Typecheck() must return
+// a verified witness at most twice the Lemma 14 engine's (2^{d+1} nodes).
+TEST(MinVastWitnessTest, VastOnlyChainShrinksToTracSize) {
+  for (int d = 4; d <= 10; ++d) {
+    SCOPED_TRACE(d);
+    PaperExample ex = RePlusVastChainFamily(d);
+    StatusOr<TypecheckResult> r =
+        Typecheck(*ex.transducer, *ex.din, *ex.dout);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.route.engine, RouteEngine::kMinVast);
+    EXPECT_FALSE(r->typechecks);
+    ASSERT_NE(r->counterexample, nullptr);
+    EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                     r->counterexample));
+    StatusOr<TypecheckResult> trac =
+        TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
+    ASSERT_TRUE(trac.ok() && trac->counterexample != nullptr);
+    EXPECT_EQ(NodeCount(trac->counterexample), std::size_t{2} << d);
+    EXPECT_LE(NodeCount(r->counterexample),
+              2 * NodeCount(trac->counterexample));
+  }
+}
+
+// A counterexample that cannot shrink below the materialization cap: only
+// t_vast fails (it repeats `a`), and every input tree carries a complete
+// binary b-tree of 2^21 - 1 nodes. min/vast must report kResourceExhausted,
+// not a failing verdict without a counterexample.
+TEST(MinVastWitnessTest, OversizedWitnessIsResourceExhausted) {
+  constexpr int kDepth = 20;
+  Alphabet alphabet;
+  alphabet.Intern("r");
+  alphabet.Intern("a");
+  auto b = [](int i) { return "b" + std::to_string(i); };
+  for (int i = 0; i <= kDepth; ++i) alphabet.Intern(b(i));
+  Dtd din(&alphabet, 0);
+  Dtd dout(&alphabet, 0);
+  ASSERT_TRUE(din.SetRule("r", "a+ b0").ok());
+  ASSERT_TRUE(dout.SetRule("r", "a b0").ok());
+  Transducer t(&alphabet);
+  t.SetInitial(t.AddState("q"));
+  ASSERT_TRUE(t.SetRuleFromString("q", "r", "r(q)").ok());
+  ASSERT_TRUE(t.SetRuleFromString("q", "a", "a(q)").ok());
+  for (int i = 0; i <= kDepth; ++i) {
+    if (i < kDepth) {
+      const std::string kids = b(i + 1) + " " + b(i + 1);
+      ASSERT_TRUE(din.SetRule(b(i), kids).ok());
+      ASSERT_TRUE(dout.SetRule(b(i), kids).ok());
+    }
+    ASSERT_TRUE(t.SetRuleFromString("q", b(i), b(i) + "(q)").ok());
+  }
+  ASSERT_GT(std::uint64_t{2} << kDepth, kMaxCounterexampleNodes);
+
+  StatusOr<TypecheckResult> r = Typecheck(t, din, dout);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+
+  // Without a counterexample the verdict itself is cheap.
+  TypecheckOptions options;
+  options.want_counterexample = false;
+  StatusOr<TypecheckResult> verdict = Typecheck(t, din, dout, options);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_FALSE(verdict->typechecks);
+}
+
+// A budget that trips while the counterexample is being shrunk ends the run
+// at once with kResourceExhausted. At d = 30 the unfolded t_vast has about
+// 4^31/3 positions; a shrink that kept walking after the trip would never
+// return.
+TEST(MinVastWitnessTest, BudgetTripDuringShrinkIsPromptlyExhausted) {
+  PaperExample ex = RePlusVastChainFamily(30);
+  Budget verdict_only;
+  TypecheckOptions options;
+  options.budget = &verdict_only;
+  options.want_counterexample = false;
+  StatusOr<TypecheckResult> verdict =
+      Typecheck(*ex.transducer, *ex.din, *ex.dout, options);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ASSERT_FALSE(verdict->typechecks);
+  const std::uint64_t verdict_checkpoints = verdict_only.checkpoints();
+
+  for (std::uint64_t extra : {1, 50, 1000}) {
+    SCOPED_TRACE(extra);
+    Budget budget;
+    budget.set_fail_at_checkpoint(verdict_checkpoints + extra);
+    options.budget = &budget;
+    options.want_counterexample = true;
+    StatusOr<TypecheckResult> r =
+        Typecheck(*ex.transducer, *ex.din, *ex.dout, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(budget.cause(), ExhaustionCause::kInjected);
+    EXPECT_EQ(budget.checkpoints(), verdict_checkpoints + extra);
+  }
+}
 
 }  // namespace
 }  // namespace xtc

@@ -1,0 +1,128 @@
+// Table 1 dispatch: one case per cell. Route() is pure, so each case first
+// asks it for the cell and engine without running anything, then checks that
+// Typecheck() stamps the same route into its stats.
+
+#include <gtest/gtest.h>
+
+#include <ostream>
+
+#include "src/core/nfa_dtd.h"
+#include "src/core/typecheck.h"
+#include "src/td/compile_selectors.h"
+#include "src/workload/families.h"
+
+namespace xtc {
+
+void PrintTo(const TypecheckRoute& route, std::ostream* os) {
+  *os << "{cell " << static_cast<int>(route.cell) << ", engine "
+      << static_cast<int>(route.engine) << "}";
+}
+
+namespace {
+
+constexpr TypecheckRoute kMinVast{Table1Cell::kRePlus, RouteEngine::kMinVast};
+constexpr TypecheckRoute kTrac{Table1Cell::kDfaBoundedDpw, RouteEngine::kTrac};
+constexpr TypecheckRoute kNfaTrac{Table1Cell::kNfa, RouteEngine::kTrac};
+
+void ExpectTypecheckStamps(const PaperExample& ex, TypecheckRoute route) {
+  StatusOr<TypecheckResult> r = Typecheck(*ex.transducer, *ex.din, *ex.dout);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->typechecks);
+  EXPECT_EQ(r->stats.route, route);
+}
+
+// FilterFamily's DTD(DFA) schemas under a transducer that copies while it
+// deletes recursively: unbounded deletion path width.
+PaperExample CopyingFilter() {
+  PaperExample ex = FilterFamily(3);
+  EXPECT_TRUE(ex.transducer->SetRuleFromString("q", "sec0", "q q").ok());
+  return ex;
+}
+
+TEST(RouteTest, RePlusSchemasGoToMinVastWhateverTheWidths) {
+  // Bounded deletion path width does not matter: RE+ comes first.
+  for (const PaperExample& ex :
+       {RePlusCopyFamily(4), RePlusCopyFamily(12), RelabFamily(6)}) {
+    EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout), kMinVast);
+    ExpectTypecheckStamps(ex, kMinVast);
+  }
+}
+
+TEST(RouteTest, XPathChainRoutesAfterSelectorCompilation) {
+  PaperExample ex = XPathChainFamily(6);
+  StatusOr<Transducer> compiled = CompileSelectors(*ex.transducer);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(Route(*compiled, *ex.din, *ex.dout), kMinVast);
+  ExpectTypecheckStamps(ex, kMinVast);
+}
+
+TEST(RouteTest, DfaSchemasWithBoundedDpwGoToTrac) {
+  for (const PaperExample& ex : {WidthFamily(3, 3), FilterFamily(4)}) {
+    ASSERT_FALSE(ex.din->IsRePlusDtd() && ex.dout->IsRePlusDtd());
+    EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout), kTrac);
+    ExpectTypecheckStamps(ex, kTrac);
+  }
+}
+
+TEST(RouteTest, NfaSchemasAreDeterminizedThenRoutedAgain) {
+  PaperExample ex = NfaSchemaFamily(4);
+  ASSERT_FALSE(ex.din->IsDfaDtd());
+  EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout), kNfaTrac);
+  ExpectTypecheckStamps(ex, kNfaTrac);
+
+  // Cached determinizations take the same route.
+  StatusOr<Dtd> din_det = DeterminizeDtd(*ex.din, 1 << 16);
+  StatusOr<Dtd> dout_det = DeterminizeDtd(*ex.dout, 1 << 16);
+  ASSERT_TRUE(din_det.ok() && dout_det.ok());
+  TypecheckOptions options;
+  options.din_determinized = &*din_det;
+  options.dout_determinized = &*dout_det;
+  EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout, options), kNfaTrac);
+  StatusOr<TypecheckResult> r =
+      Typecheck(*ex.transducer, *ex.din, *ex.dout, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->typechecks);
+  EXPECT_EQ(r->stats.route, kNfaTrac);
+}
+
+TEST(RouteTest, UnboundedDpwOverNonRePlusSchemasHasNoEngine) {
+  constexpr TypecheckRoute kNone{Table1Cell::kIntractable,
+                                 RouteEngine::kUnimplemented};
+  PaperExample ex = CopyingFilter();
+  EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout), kNone);
+  StatusOr<TypecheckResult> r = Typecheck(*ex.transducer, *ex.din, *ex.dout);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+
+  // Determinizing a DTD(NFA) does not help an unbounded transducer, so it
+  // is not attempted.
+  PaperExample nfa = NfaSchemaFamily(3);
+  ASSERT_TRUE(nfa.transducer->SetRuleFromString("q", "a", "q q").ok());
+  EXPECT_EQ(Route(*nfa.transducer, *nfa.din, *nfa.dout),
+            (TypecheckRoute{Table1Cell::kNfa, RouteEngine::kUnimplemented}));
+
+  // kUnimplemented is an answer, not an exhausted budget: the approximate
+  // fallback does not apply to either cell.
+  TypecheckOptions fallback;
+  fallback.approximate_fallback = true;
+  for (const PaperExample* e : {&ex, &nfa}) {
+    StatusOr<TypecheckResult> f =
+        Typecheck(*e->transducer, *e->din, *e->dout, fallback);
+    ASSERT_FALSE(f.ok());
+    EXPECT_EQ(f.status().code(), StatusCode::kUnimplemented);
+  }
+}
+
+TEST(RouteTest, CallerWidthsAreTrustedNotRecomputed) {
+  PaperExample ex = WidthFamily(2, 2);
+  WidthAnalysis unbounded;
+  unbounded.dpw_bounded = false;
+  TypecheckOptions options;
+  options.widths = &unbounded;
+  EXPECT_EQ(Route(*ex.transducer, *ex.din, *ex.dout, options),
+            (TypecheckRoute{Table1Cell::kIntractable,
+                            RouteEngine::kUnimplemented}));
+}
+
+}  // namespace
+}  // namespace xtc
