@@ -15,6 +15,9 @@ set(forbidden
   # Reference engines and generators that the request path never reaches.
   # TypecheckRePlus, the Section 5 grammar engine, is min/vast's test oracle.
   TypecheckRePlus
+  # Eager DTAc completion: the Theorem 20 engine complements on the fly.
+  CompletedDeterministic
+  IsBottomUpDeterministic
   BuildCounterexampleNta
   MakeTheorem18Instance
   MakeTheorem28Instance

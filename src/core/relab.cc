@@ -6,10 +6,10 @@
 #include "src/base/logging.h"
 #include "src/base/state_set.h"
 #include "src/core/brute_force.h"
+#include "src/fa/dfa.h"
 #include "src/fa/eps_nfa.h"
 #include "src/nta/analysis.h"
 #include "src/nta/lazy.h"
-#include "src/nta/product.h"
 #include "src/schema/witness.h"
 #include "src/td/classes.h"
 
@@ -160,13 +160,17 @@ StatusOr<Nta> OutputLanguageNta(const Transducer& t, const Nta& ain,
   // Finals: roots of initial-state rules paired with accepting a_in states.
   for (int a = 0; a < base; ++a) {
     int r = rule_index(t.initial(), a);
-    // Hedge-shaped initial templates never produce trees; such roots are
-    // handled by the Definition 5 pre-check at the Dtd-level entry point.
+    // Hedge-shaped and #-rooted initial templates (a missing rule, or a
+    // deleting state at the root) never produce a single output tree
+    // (Definition 5); the Dtd-level entry point's root pre-check handles
+    // them before this automaton is built. They stay non-final, so the
+    // complemented B_out, which accepts every #-rooted tree, never sees
+    // them.
     if (rules[static_cast<std::size_t>(r)].roots.size() != 1) continue;
     int root = rules[static_cast<std::size_t>(r)].roots[0];
     if (rules[static_cast<std::size_t>(r)]
             .nodes[static_cast<std::size_t>(root)]
-            .state != -1) {
+            .label == hash_symbol) {
       continue;
     }
     for (int qa = 0; qa < n_a; ++qa) {
@@ -335,65 +339,115 @@ Nta HashEliminationNta(const Nta& aout, int hash_symbol) {
 
 namespace {
 
+// The paper's complement of a DTD(DFA) d_out: its DTA completed with a sink
+// state and complemented. A tree rooted at a runs to state a when its
+// children's states spell a word of d(a) and to the sink otherwise, so the
+// sink's transition on a is d(a)'s rule DFA, completed and complemented
+// over the symbols plus the sink. Every rule is a DFA already, so this is
+// linear in the size of d_out's rule DFAs.
+Nta ComplementedDfaDtd(const Dtd& dout) {
+  const int n = dout.num_symbols();
+  const int sink = n;
+  Nta out(n, n + 1);
+  for (int q = 0; q <= n; ++q) out.SetFinal(q, q != dout.start());
+  for (int a = 0; a < n; ++a) {
+    const Dfa& rule = dout.RuleDfa(a);
+    Dfa widened(n + 1);  // the sink letter has no transitions
+    for (int s = 0; s < rule.num_states(); ++s) widened.AddState(rule.final(s));
+    widened.SetInitial(rule.initial());
+    for (int s = 0; s < rule.num_states(); ++s) {
+      for (int c = 0; c < n; ++c) {
+        const int to = rule.Step(s, c);
+        if (to != Dfa::kDead) widened.SetTransition(s, c, to);
+      }
+    }
+    out.SetTransition(a, a, widened.ToNfa());
+    out.SetTransition(sink, a, widened.Complemented().ToNfa());
+  }
+  return out;
+}
+
+// Theorem 20's query: is L(B_in) ∩ L(B_out) empty, where B_out accepts the
+// #-marked trees whose γ-image lies outside L(aout)? B_out comes one of
+// two ways:
+//  - `aout_complemented`: aout already accepts the complement (the paper's
+//    order, complement then #-eliminate), so B_out = HE(aout) joins the
+//    product as an existential factor and the query stays polynomial;
+//  - otherwise aout is any NTA(NFA) and B_out is the complement of
+//    HE(aout), which the lazy engine builds by subset construction on the
+//    reachable subsets only. HE(aout) is nondeterministic even for a
+//    deterministic aout — a #-node's subset records, for every horizontal
+//    automaton at once, the run segments its children drive — so this is
+//    exponential in the worst case; it pays off where completing aout is
+//    exponential anyway (DTD(NFA) and NTA outputs).
 StatusOr<bool> DelRelabEmptiness(const Transducer& t, const Nta& ain,
-                                 const Nta& aout_dtac, TypecheckStats* stats,
+                                 const Nta& aout, bool aout_complemented,
+                                 TypecheckStats* stats,
                                  const TypecheckOptions& options) {
+  if (options.emptiness_engine == EmptinessEngine::kLazy &&
+      options.lazy_resume != nullptr && options.lazy_resume->complete) {
+    // A complete snapshot of an equal query already holds the verdict;
+    // neither automaton needs building.
+    if (options.lazy_export != nullptr) {
+      *options.lazy_export = *options.lazy_resume;
+    }
+    return options.lazy_resume->empty;
+  }
   Budget* budget = options.budget;
   const int base = ain.num_symbols();
-  Nta aout_complement = ComplementedDtac(aout_dtac);
-  StatusOr<Nta> bin = OutputLanguageNta(t, ain, base, budget);
-  if (!bin.ok()) return bin.status();
-  Nta bout = HashEliminationNta(aout_complement, base);
-  if (options.emptiness_engine == EmptinessEngine::kLazy) {
-    // On-the-fly product emptiness: B_in × B_out is never materialized —
-    // only configurations reachable bottom-up are discovered, and the run
-    // stops at the first accepting one (DESIGN.md §3c).
-    LazyProductSpec spec;
-    spec.AddNta(&*bin);
+  XTC_ASSIGN_OR_RETURN(Nta bin, OutputLanguageNta(t, ain, base, budget));
+  Nta bout = HashEliminationNta(aout, base);
+  LazyProductSpec spec;
+  spec.AddNta(&bin);
+  if (aout_complemented) {
     spec.AddNta(&bout);
-    LazyOptions lazy_options;
-    lazy_options.budget = budget;
-    lazy_options.max_configs = static_cast<int>(
-        std::min<std::uint64_t>(options.max_configs, 1u << 30));
-    lazy_options.max_h_configs = lazy_options.max_configs;
-    lazy_options.antichain = options.antichain;
-    lazy_options.dense_threshold = options.dense_threshold;
-    lazy_options.resume = options.lazy_resume;
-    lazy_options.export_snapshot = options.lazy_export;
-    StatusOr<EmptinessOutcome> outcome =
+  } else {
+    spec.AddDeterminized(&bout, /*complement=*/true);
+  }
+  LazyOptions lazy_options;
+  lazy_options.budget = budget;
+  lazy_options.max_configs = static_cast<int>(
+      std::min<std::uint64_t>(options.max_configs, 1u << 30));
+  lazy_options.max_h_configs = lazy_options.max_configs;
+  lazy_options.antichain = options.antichain;
+  lazy_options.dense_threshold = options.dense_threshold;
+  lazy_options.resume = options.lazy_resume;
+  lazy_options.export_snapshot = options.lazy_export;
+  auto verdict = [stats](const EmptinessOutcome& outcome) {
+    stats->nta_states = outcome.stats.configs;
+    stats->nta_size = outcome.stats.h_configs + outcome.stats.steps;
+    stats->pruned_configs = outcome.stats.pruned_configs;
+    stats->displaced_configs = outcome.stats.displaced_configs;
+    return outcome.empty;
+  };
+  if (options.emptiness_engine == EmptinessEngine::kLazy) {
+    StatusOr<EmptinessOutcome> lazy =
         LazyEmptiness(spec, nullptr, lazy_options);
-    if (outcome.ok()) {
-      stats->nta_states = outcome->stats.configs;
-      stats->nta_size = outcome->stats.h_configs + outcome->stats.steps;
-      stats->pruned_configs = outcome->stats.pruned_configs;
-      stats->displaced_configs = outcome->stats.displaced_configs;
-      return outcome->empty;
-    }
+    if (lazy.ok()) return verdict(*lazy);
     // A tripped Budget is sticky and must surface; only the lazy engine's
     // own state caps fall back to the eager reference pipeline.
-    if (budget != nullptr && budget->exhausted()) return outcome.status();
-    if (outcome.status().code() != StatusCode::kResourceExhausted) {
-      return outcome.status();
+    if (budget != nullptr && budget->exhausted()) return lazy.status();
+    if (lazy.status().code() != StatusCode::kResourceExhausted) {
+      return lazy.status();
     }
   }
-  XTC_ASSIGN_OR_RETURN(Nta product, Intersect(*bin, bout, budget));
-  stats->nta_states = static_cast<std::uint64_t>(product.num_states());
-  stats->nta_size = product.Size();
-  return IsEmptyLanguage(product, budget);
+  XTC_ASSIGN_OR_RETURN(EmptinessOutcome eager,
+                       EagerEmptiness(spec, nullptr, lazy_options));
+  return verdict(eager);
 }
 
 }  // namespace
 
 StatusOr<TypecheckResult> TypecheckDelRelabNta(const Transducer& t,
                                                const Nta& ain,
-                                               const Nta& aout_dtac,
+                                               const Nta& aout,
                                                const TypecheckOptions& options) {
   WallTimer timer;
   TypecheckResult result;
   result.arena = std::make_shared<Arena>();
   ArenaBudgetScope arena_scope(result.arena, options.budget);
-  StatusOr<bool> empty =
-      DelRelabEmptiness(t, ain, aout_dtac, &result.stats, options);
+  StatusOr<bool> empty = DelRelabEmptiness(
+      t, ain, aout, /*aout_complemented=*/false, &result.stats, options);
   if (!empty.ok()) return empty.status();
   result.typechecks = *empty;
   if (options.budget != nullptr) {
@@ -448,9 +502,13 @@ StatusOr<TypecheckResult> TypecheckDelRelab(const Transducer& t,
     return result;
   }
   Nta ain = Nta::FromDtd(din);
-  Nta aout = CompletedDeterministic(Nta::FromDtd(dout));
+  // DTD(DFA) outputs follow the paper's order (complement, then
+  // #-eliminate); DTD(NFA) outputs are complemented on the fly, since
+  // completing them is a subset construction per rule anyway.
+  const bool dfa_out = dout.IsDfaDtd();
+  Nta aout = dfa_out ? ComplementedDfaDtd(dout) : Nta::FromDtd(dout);
   StatusOr<bool> empty =
-      DelRelabEmptiness(t, ain, aout, &result.stats, options);
+      DelRelabEmptiness(t, ain, aout, dfa_out, &result.stats, options);
   if (!empty.ok()) return empty.status();
   result.typechecks = *empty;
   if (!result.typechecks && options.want_counterexample) {

@@ -18,27 +18,41 @@ StatusOr<Nta> OutputLanguageNta(const Transducer& t, const Nta& ain,
                                 int hash_symbol, Budget* budget = nullptr);
 
 /// The #-eliminating automaton of Theorem 20: accepts a tree t over
-/// Σ ∪ {#} iff γ(t) ∈ L(aout), where γ splices out #-labelled nodes.
-/// `aout` must be a complete bottom-up deterministic automaton over the
-/// base alphabet (pass the complemented output DTAc to obtain B_out).
+/// Σ ∪ {#} iff t's root is not # and γ(t) ∈ L(aout), where γ splices out
+/// #-labelled nodes. This holds for any NTA(NFA) `aout` over the base
+/// alphabet — a #-node guesses the horizontal run segment its spliced-out
+/// children drive — so the caller picks what to eliminate: the complement
+/// of the output schema (B_out in the paper's order) or the schema itself,
+/// complemented afterwards.
 Nta HashEliminationNta(const Nta& aout, int hash_symbol);
 
 /// Theorem 20: TC[T_del-relab, DTAc(DFA)] in PTIME, here applied to DTD
-/// schemas (the input DTD becomes an NTA(NFA), the output DTD a DTAc by
-/// completion; both canonical automata are deterministic already):
-/// typechecks iff L(B_in ∩ B_out) = ∅. Counterexamples (in terms of the
-/// *input* tree) are recovered by a bounded search when requested.
+/// schemas: typechecks iff L(B_in) ∩ L(B_out) = ∅, where B_out accepts the
+/// #-marked trees whose γ-image violates d_out. For a DTD(DFA) d_out this
+/// follows the paper: d_out's DTA is completed with a sink and complemented
+/// (linear for DFA rules), #-eliminated, and intersected with B_in as an
+/// ordinary NTA — polynomial. For a DTD(NFA) d_out, completing is a subset
+/// construction per rule, so B_out is instead the complement of
+/// HashEliminationNta(d_out), built by the lazy engine on the reachable
+/// subsets only (worst-case exponential, the price the DTD(NFA) cells of
+/// Table 1 charge). Counterexamples (in terms of the *input* tree) are
+/// recovered by a bounded search when requested.
 StatusOr<TypecheckResult> TypecheckDelRelab(const Transducer& t,
                                             const Dtd& din, const Dtd& dout,
                                             const TypecheckOptions& options = {});
 
-/// The NTA-schema variant of Theorem 20: `ain` is any NTA(NFA) over the
-/// base alphabet, `aout_dtac` must be a complete bottom-up deterministic
-/// automaton (determinize first otherwise — the exponential step the
-/// paper's EXPTIME cells charge).
+/// The NTA-schema variant of Theorem 20: `ain` and `aout` are any NTA(NFA)s
+/// over the base alphabet, and B_out is the complement of
+/// HashEliminationNta(aout), built by the lazy engine on the reachable
+/// subsets only. HashEliminationNta is nondeterministic even for a
+/// deterministic `aout`, so this is worst-case exponential in |aout|; the
+/// polynomial DTD(DFA) case goes through TypecheckDelRelab. No
+/// counterexample is recovered; initial templates that do not produce a
+/// single tree contribute no output (the Dtd entry point rejects them up
+/// front).
 StatusOr<TypecheckResult> TypecheckDelRelabNta(const Transducer& t,
                                                const Nta& ain,
-                                               const Nta& aout_dtac,
+                                               const Nta& aout,
                                                const TypecheckOptions& options = {});
 
 }  // namespace xtc

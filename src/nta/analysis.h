@@ -39,21 +39,9 @@ StatusOr<std::optional<int>> WitnessTree(const Nta& nta, SharedForest* forest,
 bool IsFiniteLanguage(const Nta& nta);
 StatusOr<bool> IsFiniteLanguage(const Nta& nta, Budget* budget);
 
-/// Bottom-up determinism: delta(q, a) and delta(q', a) disjoint for q != q'.
-bool IsBottomUpDeterministic(const Nta& nta);
-
-/// Completeness: for every a, the union over q of delta(q, a) is Q*.
-/// Exponential in the worst case (universality check); intended for
-/// moderate automata and tests.
-bool IsComplete(const Nta& nta);
-
-/// Adds a sink state to a bottom-up deterministic NTA so that it becomes
-/// complete (a DTAc if the input was a DTA). The caller asserts determinism.
-Nta CompletedDeterministic(const Nta& nta);
-
 /// Complements a deterministic *complete* NTA by swapping final states.
-/// The caller asserts the preconditions (Theorem 20 uses this on DTAc
-/// schemas).
+/// The caller asserts the preconditions (EagerEmptiness uses this on the
+/// DTAc of a complemented determinized factor).
 Nta ComplementedDtac(const Nta& nta);
 
 }  // namespace xtc

@@ -1,5 +1,6 @@
 #include "src/workload/families.h"
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,37 @@ PaperExample NfaSchemaFamily(int n) {
   MustSetRule(ex.transducer.get(), "q", "b", "b");
   ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
   MustSetDtdRule(ex.dout.get(), "r", lang);
+  return ex;
+}
+
+PaperExample CoprimeCounterFamily(int k) {
+  static constexpr int kPrimes[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29};
+  XTC_CHECK_GE(k, 1);
+  XTC_CHECK_LE(k, static_cast<int>(std::size(kPrimes)));
+  PaperExample ex;
+  ex.alphabet = std::make_shared<Alphabet>();
+  ex.alphabet->Intern("r");
+  ex.alphabet->Intern("d");
+  ex.alphabet->Intern("x");
+  for (int i = 1; i <= k; ++i) ex.alphabet->Intern("s" + std::to_string(i));
+  ex.din = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
+  MustSetDtdRule(ex.din.get(), "r", "d");
+  MustSetDtdRule(ex.din.get(), "d", "x*");
+  ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
+  int q0 = ex.transducer->AddState("q0");
+  ex.transducer->AddState("q");
+  ex.transducer->SetInitial(q0);
+  MustSetRule(ex.transducer.get(), "q0", "r", "r(q)");
+  MustSetRule(ex.transducer.get(), "q", "d", "q");
+  MustSetRule(ex.transducer.get(), "q", "x", "x");
+  ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
+  MustSetDtdRule(ex.dout.get(), "r", "x*");
+  for (int i = 1; i <= k; ++i) {
+    std::string period = "x";
+    for (int j = 1; j < kPrimes[i - 1]; ++j) period += " x";
+    MustSetDtdRule(ex.dout.get(), "s" + std::to_string(i),
+                   "(" + period + ")*");
+  }
   return ex;
 }
 

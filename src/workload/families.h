@@ -42,6 +42,15 @@ PaperExample XPathChainFamily(int n);
 /// Table 1.
 PaperExample NfaSchemaFamily(int n);
 
+/// A DTD(DFA) deleting relabeling (1 <= k <= 10) whose output schema counts
+/// modulo the first k primes p_i: d_out has r -> x* and s_i -> (x^{p_i})*
+/// (the s_i never occur in the output), and the transducer deletes a d
+/// node with x* children. A subset construction over the #-eliminating
+/// automaton of d_out tracks that node's child count modulo every p_i at
+/// once, so it mints ∏ p_i subsets; complementing d_out's DTA before
+/// #-elimination (Theorem 20) stays polynomial in k.
+PaperExample CoprimeCounterFamily(int k);
+
 /// A failing variant of FilterFamily (d_out misses one required title):
 /// counterexample-generation workloads (Corollary 38).
 PaperExample FailingFilterFamily(int n);

@@ -4,6 +4,7 @@
 
 #include "src/core/brute_force.h"
 #include "src/nta/analysis.h"
+#include "src/nta/completion.h"
 #include "src/nta/determinize.h"
 #include "src/nta/product.h"
 #include "src/tree/codec.h"
