@@ -62,6 +62,31 @@ void BM_Lemma14_DeletionWidth(benchmark::State& state) {
 }
 BENCHMARK(BM_Lemma14_DeletionWidth)->DenseRange(0, 4, 1);
 
+// The (C, deletion depth) grid of WidthFamily: WidthFamily(7,7) is the
+// width class of xtcbench's engine_heavy. The exploration counters are
+// deterministic, so a row whose time moves with unchanged counters changed
+// the cost per explored state, not the search.
+void BM_Lemma14_WidthGrid(benchmark::State& state) {
+  PaperExample ex = WidthFamily(static_cast<int>(state.range(0)),
+                                static_cast<int>(state.range(1)));
+  TypecheckOptions opts;
+  opts.want_counterexample = false;
+  TypecheckStats stats;
+  for (auto _ : state) {
+    StatusOr<TypecheckResult> r =
+        TypecheckTrac(*ex.transducer, *ex.din, *ex.dout, opts);
+    XTC_CHECK(r.ok() && r->typechecks);
+    stats = r->stats;
+  }
+  state.counters["configs"] = static_cast<double>(stats.configs);
+  state.counters["evaluations"] = static_cast<double>(stats.evaluations);
+  state.counters["product_states"] =
+      static_cast<double>(stats.product_states);
+}
+BENCHMARK(BM_Lemma14_WidthGrid)
+    ->ArgsProduct({{3, 5, 7}, {3, 5, 7}})
+    ->ArgNames({"c", "k"});
+
 // Ablation A2: the explicit Lemma 14 automaton B vs the lazy engine, with
 // the constructed automaton size reported.
 void BM_Lemma14_ExplicitConstruction(benchmark::State& state) {

@@ -41,13 +41,21 @@ ReachablePairs::ReachablePairs(const Transducer& t, const Dtd& din)
   };
   visit(t.initial(), din.start(), -1);
   StateSet states(t.num_states());
+  // UsableChildren(a) depends on a alone: pairs that share a reuse it.
+  std::vector<int> children_of(static_cast<std::size_t>(din.num_symbols()), -1);
+  std::vector<StateSet> usable;
   for (std::size_t head = 0; head < pairs_.size(); ++head) {
     auto [q, a] = pairs_[head];
     const RhsHedge* rhs = t.rule(q, a);
     if (rhs == nullptr) continue;
     states.Clear();
     StatesInRhs(*rhs, &states);
-    const StateSet children = din.UsableChildren(a);
+    int& slot = children_of[static_cast<std::size_t>(a)];
+    if (slot == -1) {
+      slot = static_cast<int>(usable.size());
+      usable.push_back(din.UsableChildren(a));
+    }
+    const StateSet& children = usable[static_cast<std::size_t>(slot)];
     const int pair_pos = static_cast<int>(head);
     states.ForEach([&](int p) {
       children.ForEach([&](int b) { visit(p, b, pair_pos); });

@@ -26,6 +26,21 @@ namespace xtc {
 /// transducer; outside T_trac (unbounded deletion path width) the
 /// configuration space is unbounded and the run ends with
 /// kResourceExhausted at the configured limits.
+///
+/// Implementation note — the singleton memo. A configuration's status
+/// flips from false to true only in the worklist loop, between two
+/// evaluations, never during one. So within one evaluation's hedge search
+/// the true singleton children Sat(c, A_σ, [(p, y, z)]) of a key (child
+/// symbol c, copy state p, copy DFA state y) are a pure function of the
+/// key: the engine derives that list once (interning the singletons and
+/// registering the evaluated entry as a dependent of the false ones) and
+/// reuses it for every product state and guessed start vector of the same
+/// evaluation. It forgets the memo before the next evaluation, when
+/// statuses may have changed. Exploration — configs, evaluations, product
+/// states, worklist order and witnesses — is the same as re-deriving the
+/// lists each time. Per-entry data (obligations, dependents, witnesses) live
+/// in flat per-run pools, and the search's scratch is reused across
+/// evaluations, so the fixpoint allocates only when a pool grows.
 StatusOr<TypecheckResult> TypecheckTrac(const Transducer& t, const Dtd& din,
                                         const Dtd& dout,
                                         const TypecheckOptions& options = {});

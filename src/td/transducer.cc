@@ -116,8 +116,8 @@ std::size_t Transducer::Size() const {
 }
 
 bool Transducer::HasSelectors() const {
+  std::vector<const RhsNode*> stack;
   for (const auto& [key, rhs] : rules_) {
-    std::vector<const RhsNode*> stack;
     for (const RhsNode& n : rhs) stack.push_back(&n);
     while (!stack.empty()) {
       const RhsNode* n = stack.back();

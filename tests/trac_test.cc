@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/core/brute_force.h"
 #include "src/core/paper_examples.h"
 #include "src/td/widths.h"
@@ -166,6 +168,102 @@ TEST_P(TracRandomTest, AgreesWithBruteForceOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TracRandomTest, ::testing::Range(0, 60));
+
+// Count pins: the exact configs / evaluations / product states that the
+// fixpoint explores on fixed families, and the exact counterexamples it
+// returns. Any change to exploration order or to the candidate enumeration
+// (say, a memo that drops or adds a singleton lookup) moves these numbers.
+struct CountPin {
+  const char* name;
+  PaperExample (*make)();
+  std::uint64_t configs;
+  std::uint64_t evaluations;
+  std::uint64_t product_states;
+};
+
+TEST(TracCountPinTest, ExplorationCountsAreExact) {
+  const CountPin pins[] = {
+      {"WidthFamily(7,7)", [] { return WidthFamily(7, 7); }, 100, 203, 5147},
+      {"WidthFamily(3,3)", [] { return WidthFamily(3, 3); }, 48, 87, 455},
+      {"FilterFamily(6)", [] { return FilterFamily(6); }, 22, 36, 61},
+      {"FilterFamily(13)", [] { return FilterFamily(13); }, 36, 57, 110},
+      {"FailingFilterFamily(6)", [] { return FailingFilterFamily(6); }, 41,
+       80, 140},
+      {"FailingFilterFamily(13)", [] { return FailingFilterFamily(13); }, 55,
+       101, 189},
+      // Copies of different transducer states meet the same child symbol
+      // and DFA state here, so a candidate memo keyed without the copy
+      // state moves these counts (the families above do not notice).
+      {"Example 11", [] { return MakeBookExample(/*with_summary=*/true); },
+       111, 144, 263},
+      {"RandomInstance(18)",
+       [] {
+         RandomOptions opts;
+         opts.num_symbols = 3;
+         opts.num_states = 3;
+         return RandomInstance(18, opts, false);
+       },
+       79, 94, 111},
+  };
+  for (const CountPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    PaperExample ex = pin.make();
+    StatusOr<TypecheckResult> r =
+        TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.configs, pin.configs);
+    EXPECT_EQ(r->stats.evaluations, pin.evaluations);
+    EXPECT_EQ(r->stats.product_states, pin.product_states);
+  }
+}
+
+TEST(TracCountPinTest, CounterexamplesAreExact) {
+  for (int n = 6; n <= 13; ++n) {
+    SCOPED_TRACE(n);
+    PaperExample ex = FailingFilterFamily(n);
+    StatusOr<TypecheckResult> r =
+        TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->typechecks);
+    ASSERT_NE(r->counterexample, nullptr);
+    EXPECT_EQ(ToTermString(r->counterexample, *ex.alphabet),
+              "root(sec0(title))");
+    EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                     r->counterexample));
+  }
+  {
+    // The instance of TracTest.TightenedOutputSchemaFailsWithCounterexample.
+    PaperExample ex = MakeBookExample(/*with_summary=*/false);
+    ASSERT_TRUE(ex.dout->SetRule("book", "title (chapter title)+").ok());
+    StatusOr<TypecheckResult> r =
+        TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r->counterexample, nullptr);
+    EXPECT_EQ(ToTermString(r->counterexample, *ex.alphabet),
+              "book(title author chapter(title intro section(title "
+              "paragraph)))");
+    EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                     r->counterexample));
+    EXPECT_EQ(r->stats.configs, 31u);
+    EXPECT_EQ(r->stats.evaluations, 58u);
+    EXPECT_EQ(r->stats.product_states, 92u);
+  }
+  // The instance of TracTest.DeepCounterexampleThroughDeletion.
+  PaperExample ex = FilterFamily(1);
+  ASSERT_TRUE(ex.dout->SetRule("root", "title title title title title*").ok());
+  StatusOr<TypecheckResult> r =
+      TypecheckTrac(*ex.transducer, *ex.din, *ex.dout);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->typechecks);
+  ASSERT_NE(r->counterexample, nullptr);
+  EXPECT_EQ(ToTermString(r->counterexample, *ex.alphabet),
+            "root(sec0(title))");
+  EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                   r->counterexample));
+  EXPECT_EQ(r->stats.configs, 16u);
+  EXPECT_EQ(r->stats.evaluations, 24u);
+  EXPECT_EQ(r->stats.product_states, 24u);
+}
 
 TEST(TracTest, StatsAreReported) {
   PaperExample ex = MakeBookExample(true);
