@@ -3,8 +3,7 @@
 # output into a single machine-readable file (default: BENCH_pr10.json at
 # the repo root). EXPERIMENTS.md documents the format; ci/run_ci.sh compares
 # a fresh run against the checked-in snapshot in its perf-smoke stage and
-# checks the lazy-vs-eager pairs with ci/lazy_gate.py, the antichain
-# subsumption pairs with ci/antichain_gate.py, and the streaming
+# checks the lazy-vs-eager pairs with ci/lazy_gate.py and the streaming
 # peak-memory claims with ci/stream_gate.py.
 #
 # When xtc_loadgen is built, one gate-mode run (calibrate, unloaded 0.5x,
@@ -31,7 +30,6 @@ BENCHES=(
   bench_thm18_hardness
   bench_table1_frontier
   bench_thm20_relab
-  bench_antichain
   bench_service
   bench_stream
 )

@@ -12,6 +12,12 @@ set(forbidden
   SharedAntichainIndex
   TombstoneLog
   Budget::ChargeSteps
+  # Antichain subsumption pruning, the dense/sparse subset masks and the
+  # unused engine-agnostic emptiness wrapper.
+  AntichainIndex
+  AdaptiveStateSet
+  SparseStateSet
+  EmptinessOracle
   # Reference engines and generators that the request path never reaches.
   # TypecheckRePlus, the Section 5 grammar engine, is min/vast's test oracle.
   TypecheckRePlus

@@ -1,6 +1,7 @@
 #ifndef XTC_BASE_STATE_SET_H_
 #define XTC_BASE_STATE_SET_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -224,6 +225,68 @@ class StateSet {
 
   int num_bits_ = 0;
   std::vector<std::uint64_t> words_;
+};
+
+/// Reusable accumulator for the horizontal subset steps (StepH in
+/// src/nta/horizontal_space.h): a dense word array sized to the universe,
+/// plus a touched-word list so that marking, extraction and reset cost
+/// O(touched + members) instead of the O(universe/64) that allocating and
+/// scanning a fresh StateSet per step costs. One instance per engine run;
+/// not thread-safe.
+class ScratchSet {
+ public:
+  /// Ensures capacity for the universe {0, .., num_bits-1}. The set must be
+  /// logically empty when called (i.e. after Clear or
+  /// ExtractSortedAndClear).
+  void EnsureUniverse(int num_bits) {
+    const std::size_t words =
+        (static_cast<std::size_t>(num_bits) + 63) / 64;
+    if (words > words_.size()) words_.resize(words, 0);
+  }
+
+  /// Adds `i`; returns whether it was newly added.
+  bool Add(int i) {
+    const std::size_t w = static_cast<std::size_t>(i) / 64;
+    const std::uint64_t mask = std::uint64_t{1} << (static_cast<unsigned>(i) %
+                                                    64);
+    const std::uint64_t before = words_[w];
+    if ((before & mask) != 0) return false;
+    if (before == 0) touched_.push_back(static_cast<int>(w));
+    words_[w] = before | mask;
+    return true;
+  }
+
+  bool Test(int i) const {
+    const std::size_t w = static_cast<std::size_t>(i) / 64;
+    return w < words_.size() &&
+           ((words_[w] >> (static_cast<unsigned>(i) % 64)) & 1) != 0;
+  }
+
+  /// Empties the set, clearing only the touched words.
+  void Clear() {
+    for (const int w : touched_) words_[static_cast<std::size_t>(w)] = 0;
+    touched_.clear();
+  }
+
+  /// Writes the members to `*out` in increasing order (replacing its
+  /// contents) and empties the set, clearing only the touched words.
+  void ExtractSortedAndClear(std::vector<int>* out) {
+    out->clear();
+    std::sort(touched_.begin(), touched_.end());
+    for (const int w : touched_) {
+      std::uint64_t bits = words_[static_cast<std::size_t>(w)];
+      words_[static_cast<std::size_t>(w)] = 0;
+      while (bits != 0) {
+        out->push_back(w * 64 + std::countr_zero(bits));
+        bits &= bits - 1;
+      }
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::vector<int> touched_;  ///< word indices with at least one bit set
 };
 
 }  // namespace xtc

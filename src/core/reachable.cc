@@ -68,6 +68,7 @@ bool ReachablePairs::IsReachable(int state, int symbol) const {
 }
 
 Node* ReachablePairs::EmbedWitness(int state, int symbol, Node* subtree,
+                                   const std::vector<std::uint64_t>& costs,
                                    TreeBuilder* builder) const {
   XTC_CHECK(IsReachable(state, symbol));
   // Recover the symbol chain root -> ... -> (state, symbol).
@@ -104,7 +105,10 @@ Node* ReachablePairs::EmbedWitness(int state, int symbol, Node* subtree,
         kids.push_back(current);
         placed = true;
       } else {
-        kids.push_back(MinimalValidTree(din_, b, builder));
+        StatusOr<Node*> kid = MinimalValidTree(din_, b, costs, builder,
+                                               /*budget=*/nullptr);
+        XTC_CHECK_MSG(kid.ok(), kid.status().ToString().c_str());
+        kids.push_back(*kid);
       }
     }
     XTC_CHECK(placed);

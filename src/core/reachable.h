@@ -1,6 +1,7 @@
 #ifndef XTC_CORE_REACHABLE_H_
 #define XTC_CORE_REACHABLE_H_
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -30,7 +31,10 @@ class ReachablePairs {
   /// Builds a tree of L(d_in) in which the node at the witness position of
   /// (state, symbol) is replaced by `subtree` (whose root must be labelled
   /// `symbol` for the result to satisfy d_in). The pair must be reachable.
+  /// `costs` is MinimalTreeCosts(d_in); the siblings along the path are
+  /// smallest trees against it.
   Node* EmbedWitness(int state, int symbol, Node* subtree,
+                     const std::vector<std::uint64_t>& costs,
                      TreeBuilder* builder) const;
 
  private:

@@ -409,15 +409,11 @@ StatusOr<bool> DelRelabEmptiness(const Transducer& t, const Nta& ain,
   lazy_options.max_configs = static_cast<int>(
       std::min<std::uint64_t>(options.max_configs, 1u << 30));
   lazy_options.max_h_configs = lazy_options.max_configs;
-  lazy_options.antichain = options.antichain;
-  lazy_options.dense_threshold = options.dense_threshold;
   lazy_options.resume = options.lazy_resume;
   lazy_options.export_snapshot = options.lazy_export;
   auto verdict = [stats](const EmptinessOutcome& outcome) {
     stats->nta_states = outcome.stats.configs;
     stats->nta_size = outcome.stats.h_configs + outcome.stats.steps;
-    stats->pruned_configs = outcome.stats.pruned_configs;
-    stats->displaced_configs = outcome.stats.displaced_configs;
     return outcome.empty;
   };
   if (options.emptiness_engine == EmptinessEngine::kLazy) {

@@ -364,6 +364,8 @@ class Engine {
   std::vector<Obl> single_obl_buf_;
   std::vector<Obl> child_obl_buf_;
   std::vector<Node*> witness_kids_;
+  // din_'s MinimalTreeCosts, computed once by the counterexample build.
+  std::vector<std::uint64_t> min_costs_;
   std::vector<std::unique_ptr<DfaReachability>> out_reach_;  // per sigma
   // Singleton candidate lists of the current HedgeSearch (see the note in
   // trac.h).
@@ -747,7 +749,8 @@ Node* Engine::BuildConfigWitness(int id, TreeBuilder* builder,
   if (!e.has_witness) {
     // Witness construction is best-effort under a governor: exhaustion here
     // degrades to "no counterexample", not to a failed run.
-    StatusOr<Node*> leaf = MinimalValidTree(din_, b, builder, options_.budget);
+    StatusOr<Node*> leaf =
+        MinimalValidTree(din_, b, min_costs_, builder, options_.budget);
     return leaf.ok() ? *leaf : nullptr;
   }
   // Children are collected on one shared stack: this call's kids sit above
@@ -855,6 +858,11 @@ StatusOr<TypecheckResult> Engine::Run() {
     if (!e.status) continue;
     result.typechecks = false;
     if (!options_.want_counterexample) break;
+    // One MinimalTreeCosts fixpoint serves every smallest tree below.
+    StatusOr<std::vector<std::uint64_t>> costs =
+        MinimalTreeCosts(din_, options_.budget);
+    if (!costs.ok()) break;
+    min_costs_ = *std::move(costs);
     // Build the violating subtree rooted at the input node (q, a).
     std::vector<Node*> kids;
     bool ok = true;
@@ -873,7 +881,7 @@ StatusOr<TypecheckResult> Engine::Run() {
       XTC_CHECK(word.has_value());
       for (int b : *word) {
         StatusOr<Node*> kid =
-            MinimalValidTree(din_, b, &builder, options_.budget);
+            MinimalValidTree(din_, b, min_costs_, &builder, options_.budget);
         if (!kid.ok()) {
           ok = false;
           break;
@@ -884,7 +892,7 @@ StatusOr<TypecheckResult> Engine::Run() {
     if (!ok) break;
     Node* subtree = builder.Make(top.a, kids);
     result.counterexample =
-        reach_.EmbedWitness(top.q, top.a, subtree, &builder);
+        reach_.EmbedWitness(top.q, top.a, subtree, min_costs_, &builder);
     break;
   }
   finalize();

@@ -49,12 +49,8 @@ struct TypecheckStats {
   std::uint64_t product_states = 0;   ///< product states explored
   std::uint64_t nta_states = 0;       ///< states of constructed NTAs
   std::uint64_t nta_size = 0;         ///< total size of constructed NTAs
-  /// Antichain telemetry from the lazy emptiness runs (DESIGN.md §3e):
-  /// configs dropped at mint because a live config subsumed them, and live
-  /// configs displaced by a later dominating config. Zero with the
-  /// antichain knob off or on paths that pose no emptiness query.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   std::uint64_t pruned_configs = 0;
-  std::uint64_t displaced_configs = 0;
 
   // Resource-governor telemetry (zero when the run was ungoverned).
   std::uint64_t budget_checkpoints = 0;  ///< checkpoints passed
@@ -116,15 +112,10 @@ struct TypecheckOptions {
   /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int emptiness_threads = 1;
 
-  /// Antichain subsumption pruning in the lazy emptiness engine
-  /// (LazyOptions::antichain, DESIGN.md §3e). On by default; the escape
-  /// hatch preserves the full discovery fixpoint (differential testing,
-  /// maximal cached snapshot tables). Ignored by the eager engine.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool antichain = true;
 
-  /// Dense/sparse switch-over for determinized subset masks
-  /// (LazyOptions::dense_threshold); values < 1 mean the engine default
-  /// (kDefaultDenseThreshold). Ignored by the eager engine.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int dense_threshold = 0;
 
   // --- Pre-compiled artifacts (the service compile cache) ---

@@ -1,12 +1,12 @@
 #include "src/nta/determinize.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "src/base/interner.h"
 #include "src/base/logging.h"
-#include "src/base/sparse_state_set.h"
 #include "src/base/state_set.h"
 #include "src/nta/horizontal_space.h"
 
@@ -22,19 +22,18 @@ StatusOr<Nta> DeterminizeToDtac(const Nta& nta, int max_states,
   }
 
   // Interned determinized states (subsets of Q), hashed; interner ids are
-  // dense so they double as DTA state ids. det_masks mirrors each subset as
-  // an adaptive mask (dense words under kDefaultDenseThreshold states,
-  // sorted-sparse above) for the membership tests in StepH.
+  // dense so they double as DTA state ids. StepH tests letter membership
+  // against `letter`, which holds one det state's members at a time.
   SubsetInterner det_ids;
   std::vector<std::vector<int>> det_states;
-  std::vector<AdaptiveStateSet> det_masks;
   auto intern_det = [&](std::vector<int> subset) {
     int id = det_ids.Intern(subset);
     if (id < static_cast<int>(det_states.size())) return id;
-    det_masks.emplace_back(subset, nta.num_states(), kDefaultDenseThreshold);
     det_states.push_back(std::move(subset));
     return id;
   };
+  ScratchSet letter;
+  letter.EnsureUniverse(nta.num_states());
   ScratchSet scratch;
   std::vector<int> step_buf;
 
@@ -75,15 +74,19 @@ StatusOr<Nta> DeterminizeToDtac(const Nta& nta, int max_states,
         for (std::size_t s = 0; s < det_states.size(); ++s) {
           if (g.trans[h][s] != -1) continue;
           XTC_RETURN_IF_ERROR(BudgetCheck(budget, "DeterminizeToDtac"));
-          StepH(spaces[static_cast<std::size_t>(a)], g.states[h],
-                det_masks[s], &scratch, &step_buf);
+          for (const int q : det_states[s]) letter.Add(q);
+          StepH(spaces[static_cast<std::size_t>(a)], g.states[h], letter,
+                &scratch, &step_buf);
+          letter.Clear();
           int hid = intern_h(a, step_buf);
           g.trans[h].resize(det_states.size(), -1);  // intern may grow dets
           g.trans[h][s] = hid;
           changed = true;
+          // 64-bit product: max_states * |Q| overflows int on large
+          // universes.
           if (static_cast<int>(det_states.size()) > max_states ||
-              static_cast<int>(g.states.size()) >
-                  max_states * std::max(1, nta.num_states())) {
+              static_cast<std::int64_t>(g.states.size()) >
+                  std::int64_t{max_states} * std::max(1, nta.num_states())) {
             return ResourceExhaustedError(
                 "NTA determinization exceeded the state budget");
           }

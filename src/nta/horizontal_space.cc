@@ -43,24 +43,13 @@ std::vector<int> TargetSubset(const HorizontalSpace& sp,
   return subset;
 }
 
-std::vector<int> StepH(const HorizontalSpace& sp, std::span<const int> h,
-                       const StateSet& subset) {
-  StateSet next(sp.total);
-  for (int g : h) {
-    sp.ForEachEdge(g, [&](int sym, int to) {
-      if (subset.Test(sym)) next.Set(to);
-    });
-  }
-  return next.ToVector();
-}
-
 void StepH(const HorizontalSpace& sp, std::span<const int> h,
-           const AdaptiveStateSet& subset, ScratchSet* scratch,
+           const ScratchSet& letter, ScratchSet* scratch,
            std::vector<int>* out) {
   scratch->EnsureUniverse(sp.total);
   for (int g : h) {
     sp.ForEachEdge(g, [&](int sym, int to) {
-      if (subset.Test(sym)) scratch->Add(to);
+      if (letter.Test(sym)) scratch->Add(to);
     });
   }
   scratch->ExtractSortedAndClear(out);

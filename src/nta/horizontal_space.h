@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/sparse_state_set.h"
 #include "src/base/state_set.h"
 #include "src/nta/nta.h"
 
@@ -48,16 +47,12 @@ struct HorizontalSpace {
 std::vector<int> TargetSubset(const HorizontalSpace& sp,
                               std::span<const int> h);
 
-/// Advance the h-state by one child whose possible-state set is `subset`
-/// (a packed mask over the original Q).
-std::vector<int> StepH(const HorizontalSpace& sp, std::span<const int> h,
-                       const StateSet& subset);
-
-/// Allocation-free variant against an adaptive mask: accumulates into the
-/// caller's (logically empty) scratch sized to sp.total and writes the
-/// sorted successor h-state into `*out`, leaving the scratch empty again.
+/// Advance the h-state by one child whose possible-state set is `letter`
+/// (its members marked over the original Q): accumulates into the caller's
+/// (logically empty) scratch and writes the sorted successor h-state into
+/// `*out`, leaving the scratch empty again.
 void StepH(const HorizontalSpace& sp, std::span<const int> h,
-           const AdaptiveStateSet& subset, ScratchSet* scratch,
+           const ScratchSet& letter, ScratchSet* scratch,
            std::vector<int>* out);
 
 }  // namespace xtc

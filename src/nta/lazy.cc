@@ -5,10 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/antichain.h"
 #include "src/base/interner.h"
 #include "src/base/logging.h"
-#include "src/base/sparse_state_set.h"
 #include "src/base/state_set.h"
 #include "src/nta/analysis.h"
 #include "src/nta/determinize.h"
@@ -58,6 +56,10 @@ class LazyEngine {
         det_comps_.back().component = i;
       }
     }
+    for (const DetComponent& dc : det_comps_) {
+      letter_.EnsureUniverse(
+          comps[static_cast<std::size_t>(dc.component)].nta->num_states());
+    }
     symbols_.resize(static_cast<std::size_t>(num_symbols_));
     for (int a = 0; a < num_symbols_; ++a) {
       SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
@@ -67,21 +69,6 @@ class LazyEngine {
             *comps[static_cast<std::size_t>(i)].nta, a));
       }
       sym.det.resize(det_comps_.size());
-    }
-    dense_threshold_ = options.dense_threshold >= 1 ? options.dense_threshold
-                                                    : kDefaultDenseThreshold;
-    // Antichain pruning only relaxes det coordinates; a purely existential
-    // product has nothing to relax (interner equality dedup is already the
-    // maximal sound pruning there), so skip the index entirely.
-    antichain_enabled_ = options.antichain && !det_comps_.empty();
-    if (antichain_enabled_) {
-      std::vector<int> ex_positions;
-      for (int i = 0; i < num_components_; ++i) {
-        if (det_slot_[static_cast<std::size_t>(i)] < 0) {
-          ex_positions.push_back(i);
-        }
-      }
-      antichain_.Configure(std::move(ex_positions));
     }
   }
 
@@ -103,13 +90,6 @@ class LazyEngine {
                      static_cast<int>(cfg_accepting_.size()) &&
                  found_ < 0) {
             const int c = sym.h_cursor[static_cast<std::size_t>(hi)]++;
-            // Subsumed configs never act as letters: skipping them (without
-            // charging a step or re-arming `changed`) is exactly the pruning
-            // DESIGN.md §3e argues sound.
-            if (antichain_enabled_ &&
-                cfg_pruned_[static_cast<std::size_t>(c)] != 0) {
-              continue;
-            }
             XTC_RETURN_IF_ERROR(BudgetCheck(options_.budget, "LazyEmptiness"));
             ++stats_.steps;
             XTC_RETURN_IF_ERROR(StepJoint(a, hi, c));
@@ -145,9 +125,6 @@ class LazyEngine {
       }
       snap.complete = true;
       snap.empty = out.empty;
-      snap.antichain = antichain_enabled_;
-      snap.pruned_configs =
-          stats_.pruned_configs + stats_.displaced_configs;
       *options_.export_snapshot = std::move(snap);
     }
     return out;
@@ -159,10 +136,6 @@ class LazyEngine {
   struct DetComponent {
     int component = -1;  ///< index into spec components
     SubsetInterner ids;  ///< subsets of the component's Q
-    /// id -> subset mask (StepDet letter tests, antichain subsumption);
-    /// dense words or sorted-sparse depending on the component's universe
-    /// vs dense_threshold_.
-    std::vector<AdaptiveStateSet> masks;
     std::vector<bool> accepting;  ///< id -> acceptance after polarity flip
   };
 
@@ -210,14 +183,11 @@ class LazyEngine {
   int InternDetState(int d, std::span<const int> subset) {
     DetComponent& dc = det_comps_[static_cast<std::size_t>(d)];
     const int id = dc.ids.Intern(subset);
-    if (id < static_cast<int>(dc.masks.size())) return id;
+    if (id < static_cast<int>(dc.accepting.size())) return id;
     const LazyComponent& comp =
         spec_.components()[static_cast<std::size_t>(dc.component)];
     bool any_final = false;
     for (int q : subset) any_final = any_final || comp.nta->final(q);
-    // Interner keys are sorted subsets, so the adaptive set can take the
-    // span as-is.
-    dc.masks.emplace_back(subset, comp.nta->num_states(), dense_threshold_);
     dc.accepting.push_back(comp.complement ? !any_final : any_final);
     return id;
   }
@@ -236,35 +206,27 @@ class LazyEngine {
     DetH& dh = sym.det[static_cast<std::size_t>(d)];
     if (dh.target[static_cast<std::size_t>(hsub)] < 0) {
       const int comp = det_comps_[static_cast<std::size_t>(d)].component;
-      const std::span<const int> span = dh.ids.Get(hsub);
-      const std::vector<int> members(span.begin(), span.end());
       dh.target[static_cast<std::size_t>(hsub)] = InternDetState(
-          d, TargetSubset(sym.spaces[static_cast<std::size_t>(comp)], members));
+          d, TargetSubset(sym.spaces[static_cast<std::size_t>(comp)],
+                          dh.ids.Get(hsub)));
     }
     return dh.target[static_cast<std::size_t>(hsub)];
   }
 
-  // Deterministic subset step of a det coordinate by a det-state letter.
+  // Deterministic subset step of a det coordinate by a det-state letter:
+  // marks the letter's members in `letter_` for StepH's membership tests.
   StatusOr<int> StepDet(int a, int d, int hsub, int det_letter) {
     SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
     DetH& dh = sym.det[static_cast<std::size_t>(d)];
     const int pair_key[2] = {hsub, det_letter};
     const int pid = dh.memo_keys.Intern(pair_key);
     if (pid < static_cast<int>(dh.memo.size())) return dh.memo[pid];
-    const int comp = det_comps_[static_cast<std::size_t>(d)].component;
-    const HorizontalSpace& sp = sym.spaces[static_cast<std::size_t>(comp)];
-    const AdaptiveStateSet& mask =
-        det_comps_[static_cast<std::size_t>(d)]
-            .masks[static_cast<std::size_t>(det_letter)];
-    const std::span<const int> span = dh.ids.Get(hsub);
-    const std::vector<int> members(span.begin(), span.end());
-    scratch_.EnsureUniverse(sp.total);
-    for (int g : members) {
-      sp.ForEachEdge(g, [&](int symq, int to) {
-        if (mask.Test(symq)) scratch_.Add(to);
-      });
-    }
-    scratch_.ExtractSortedAndClear(&step_buf_);
+    const DetComponent& dc = det_comps_[static_cast<std::size_t>(d)];
+    const HorizontalSpace& sp =
+        sym.spaces[static_cast<std::size_t>(dc.component)];
+    for (const int q : dc.ids.Get(det_letter)) letter_.Add(q);
+    StepH(sp, dh.ids.Get(hsub), letter_, &scratch_, &step_buf_);
+    letter_.Clear();
     const int result = InternDetH(a, d, step_buf_);
     dh.memo.push_back(result);
     return result;
@@ -347,63 +309,8 @@ class LazyEngine {
     } else {
       cfg_witness_.push_back(-1);
     }
-    cfg_pruned_.push_back(0);
-    if (accepting) {
-      // Acceptance decides the run before the antichain ever sees the
-      // config, so pruning cannot delay or change the early exit.
-      if (found_ < 0) found_ = id;
-      return Status::Ok();
-    }
-    if (antichain_enabled_) {
-      displaced_buf_.clear();
-      const bool pruned = antichain_.Insert(
-          id, key,
-          [this](std::span<const int> x, std::span<const int> y) {
-            return Dominates(x, y);
-          },
-          &displaced_buf_);
-      if (pruned) {
-        cfg_pruned_.back() = 1;
-        ++stats_.pruned_configs;
-      } else {
-        for (const int old : displaced_buf_) {
-          // Witness/back-pointer data of displaced configs stays intact —
-          // only their remaining frontier work is skipped.
-          cfg_pruned_[static_cast<std::size_t>(old)] = 1;
-          ++stats_.displaced_configs;
-        }
-      }
-    }
+    if (accepting && found_ < 0) found_ = id;
     return Status::Ok();
-  }
-
-  // Whether the config keyed `x` subsumes the config keyed `y` (§3e):
-  // existential coordinates must match exactly; each determinized subset
-  // coordinate of x must be ⊇ its counterpart in y for plain polarity
-  // (acceptance = some tracked run accepts, upward-closed) and ⊆ for
-  // complemented polarity (acceptance = no tracked run accepts,
-  // downward-closed).
-  bool Dominates(std::span<const int> x, std::span<const int> y) const {
-    for (int i = 0; i < num_components_; ++i) {
-      const int d = det_slot_[static_cast<std::size_t>(i)];
-      const int xi = x[static_cast<std::size_t>(i)];
-      const int yi = y[static_cast<std::size_t>(i)];
-      if (d < 0) {
-        if (xi != yi) return false;
-        continue;
-      }
-      if (xi == yi) continue;
-      const DetComponent& dc = det_comps_[static_cast<std::size_t>(d)];
-      const bool complement =
-          spec_.components()[static_cast<std::size_t>(dc.component)]
-              .complement;
-      const AdaptiveStateSet& xm = dc.masks[static_cast<std::size_t>(xi)];
-      const AdaptiveStateSet& ym = dc.masks[static_cast<std::size_t>(yi)];
-      if (!(complement ? ym.ContainsAll(xm) : xm.ContainsAll(ym))) {
-        return false;
-      }
-    }
-    return true;
   }
 
   // Cross product of the existential successor choices; det coordinates in
@@ -491,42 +398,12 @@ class LazyEngine {
   SubsetInterner cfg_ids_;  ///< global config tuples (k ints)
   std::vector<bool> cfg_accepting_;
   std::vector<int> cfg_witness_;  ///< forest id per config, -1 w/o forest
-  std::vector<char> cfg_pruned_;  ///< config id -> subsumed, skip as letter
-  AntichainIndex antichain_;
-  std::vector<int> displaced_buf_;  ///< reused Insert out-param
-  bool antichain_enabled_ = false;
-  int dense_threshold_ = kDefaultDenseThreshold;
-  ScratchSet scratch_;        ///< StepDet successor accumulator
+  ScratchSet letter_;          ///< StepDet letter members
+  ScratchSet scratch_;         ///< StepDet successor accumulator
   std::vector<int> step_buf_;  ///< reused ExtractSortedAndClear target
   int total_h_ = 0;
   int found_ = -1;  ///< first accepting config, -1 while none
   LazyStats stats_;
-};
-
-class LazyOracle : public EmptinessOracle {
- public:
-  explicit LazyOracle(const LazyOptions& options) : options_(options) {}
-  const char* name() const override { return "lazy"; }
-  StatusOr<EmptinessOutcome> Check(const LazyProductSpec& spec,
-                                   SharedForest* forest) override {
-    return LazyEmptiness(spec, forest, options_);
-  }
-
- private:
-  LazyOptions options_;
-};
-
-class EagerOracle : public EmptinessOracle {
- public:
-  explicit EagerOracle(const LazyOptions& options) : options_(options) {}
-  const char* name() const override { return "eager"; }
-  StatusOr<EmptinessOutcome> Check(const LazyProductSpec& spec,
-                                   SharedForest* forest) override {
-    return EagerEmptiness(spec, forest, options_);
-  }
-
- private:
-  LazyOptions options_;
 };
 
 }  // namespace
@@ -601,14 +478,6 @@ StatusOr<EmptinessOutcome> EagerEmptiness(const LazyProductSpec& spec,
     XTC_ASSIGN_OR_RETURN(out.empty, IsEmptyLanguage(product, options.budget));
   }
   return out;
-}
-
-std::unique_ptr<EmptinessOracle> MakeEmptinessOracle(
-    EmptinessEngine engine, const LazyOptions& options) {
-  if (engine == EmptinessEngine::kEager) {
-    return std::make_unique<EagerOracle>(options);
-  }
-  return std::make_unique<LazyOracle>(options);
 }
 
 }  // namespace xtc

@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/base/budget.h"
-#include "src/base/sparse_state_set.h"
 #include "src/base/status.h"
 #include "src/nta/nta.h"
 #include "src/tree/hashcons.h"
@@ -64,12 +62,6 @@ struct LazyStats {
   std::uint64_t h_configs = 0;   ///< joint horizontal states discovered
   std::uint64_t det_states = 0;  ///< determinized subset states minted
   std::uint64_t steps = 0;       ///< horizontal successor expansions
-  /// Configs dropped at mint time because a live config subsumed them
-  /// (antichain pruning, DESIGN.md §3e). Never expanded.
-  std::uint64_t pruned_configs = 0;
-  /// Live configs displaced by a later, dominating config; their remaining
-  /// frontier work was skipped.
-  std::uint64_t displaced_configs = 0;
   bool early_exit = false;       ///< stopped at the first accepting config
   bool resumed = false;          ///< warm-started from a LazySnapshot
 };
@@ -95,13 +87,6 @@ struct LazySnapshot {
   std::vector<DetTable> det_tables;
   bool complete = false;  ///< exploration ran to fixpoint (verdict is final)
   bool empty = false;     ///< the verdict, valid when complete
-  /// Whether the exporting run pruned with the antichain layer. A pruned
-  /// fixpoint is sound to resume from with either setting — the tables are
-  /// a subset of the unpruned discovery set, and resume only pre-interns
-  /// them — but the marker keeps clean-completion re-exports byte-stable
-  /// and lets diagnostics attribute table-size differences.
-  bool antichain = false;
-  std::uint64_t pruned_configs = 0;  ///< prune count at export time
 
   std::size_t ApproxBytes() const;
 };
@@ -113,18 +98,6 @@ struct LazyOptions {
   int max_configs = 1 << 22;
   /// Cap on joint horizontal states across all symbols.
   int max_h_configs = 1 << 22;
-  /// Antichain subsumption pruning (DESIGN.md §3e): drop newly minted
-  /// configs subsumed by a live config, displace live configs a newcomer
-  /// dominates. On by default; the escape hatch exists for differential
-  /// testing and for callers that want the full discovery fixpoint (e.g.
-  /// maximal snapshot tables). No effect on specs with no determinized
-  /// component — equality dedup (the interner) is already maximal pruning
-  /// for purely existential products.
-  bool antichain = true;
-  /// Universe size above which determinized subset masks switch from the
-  /// dense word-parallel StateSet to the sorted-sparse representation
-  /// (src/base/sparse_state_set.h). Values < 1 mean the default.
-  int dense_threshold = kDefaultDenseThreshold;
   /// Warm-start: pre-interns the snapshot's determinized-state tables (and
   /// short-circuits entirely when the snapshot is complete and no witness
   /// is requested). The snapshot must come from an equal spec.
@@ -159,19 +132,6 @@ StatusOr<EmptinessOutcome> LazyEmptiness(const LazyProductSpec& spec,
 StatusOr<EmptinessOutcome> EagerEmptiness(const LazyProductSpec& spec,
                                           SharedForest* forest,
                                           const LazyOptions& options = {});
-
-/// Engine-agnostic handle the typechecking paths program against;
-/// constructed per run (thread-compatible, not thread-safe).
-class EmptinessOracle {
- public:
-  virtual ~EmptinessOracle() = default;
-  virtual const char* name() const = 0;
-  virtual StatusOr<EmptinessOutcome> Check(const LazyProductSpec& spec,
-                                           SharedForest* forest) = 0;
-};
-
-std::unique_ptr<EmptinessOracle> MakeEmptinessOracle(
-    EmptinessEngine engine, const LazyOptions& options = {});
 
 }  // namespace xtc
 

@@ -123,6 +123,12 @@ StatusOr<Node*> MinimalValidTree(const Dtd& dtd, int symbol,
                                  TreeBuilder* builder, Budget* budget) {
   XTC_ASSIGN_OR_RETURN(std::vector<uint64_t> costs,
                        MinimalTreeCosts(dtd, budget));
+  return MinimalValidTree(dtd, symbol, costs, builder, budget);
+}
+
+StatusOr<Node*> MinimalValidTree(const Dtd& dtd, int symbol,
+                                 const std::vector<uint64_t>& costs,
+                                 TreeBuilder* builder, Budget* budget) {
   if (costs[static_cast<std::size_t>(symbol)] == kInfiniteCost) {
     return FailedPreconditionError("symbol is not inhabited");
   }

@@ -30,6 +30,12 @@ StatusOr<std::vector<uint64_t>> MinimalTreeCosts(const Dtd& dtd,
 Node* MinimalValidTree(const Dtd& dtd, int symbol, TreeBuilder* builder);
 StatusOr<Node*> MinimalValidTree(const Dtd& dtd, int symbol,
                                  TreeBuilder* builder, Budget* budget);
+/// The governed form against `costs`, the result of MinimalTreeCosts(dtd),
+/// so that a caller building many trees over one DTD runs that fixpoint
+/// once.
+StatusOr<Node*> MinimalValidTree(const Dtd& dtd, int symbol,
+                                 const std::vector<uint64_t>& costs,
+                                 TreeBuilder* builder, Budget* budget);
 
 /// The Section 5 witness trees t_min and t_vast for a DTD(RE+), represented
 /// hash-consed (t_vast unfolds exponentially). Ids are per symbol; -1 marks

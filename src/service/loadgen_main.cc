@@ -32,8 +32,6 @@ struct Flags {
   std::uint64_t seed = 1;
   std::uint64_t deadline_ms = 250;  // warm/cold patience in the mix
   std::uint64_t hostile_deadline_ms = 100;
-  int antichain = 1;        // service default for the generated traffic
-  int dense_threshold = 0;  // 0 = engine default (kDefaultDenseThreshold)
 };
 
 bool ParseNum(const char* arg, const char* name, double* out) {
@@ -51,8 +49,7 @@ int Usage(const char* argv0) {
                "usage: %s [--mode=gate|run] [--mix=standard|warm] [--qps=N] "
                "[--duration-s=N]\n"
                "          [--threads=N] [--queue=N] [--seed=N] "
-               "[--deadline-ms=N] [--hostile-deadline-ms=N]\n"
-               "          [--antichain=0|1] [--dense-threshold=N]\n",
+               "[--deadline-ms=N] [--hostile-deadline-ms=N]\n",
                argv0);
   return 2;
 }
@@ -196,11 +193,6 @@ int main(int argc, char** argv) {
       flags.deadline_ms = static_cast<std::uint64_t>(v);
     } else if (ParseNum(argv[i], "--hostile-deadline-ms", &v)) {
       flags.hostile_deadline_ms = static_cast<std::uint64_t>(v);
-    } else if (ParseNum(argv[i], "--antichain", &v)) {
-      if (v > 1) return Usage(argv[0]);
-      flags.antichain = static_cast<int>(v);
-    } else if (ParseNum(argv[i], "--dense-threshold", &v)) {
-      flags.dense_threshold = static_cast<int>(v);
     } else {
       return Usage(argv[0]);
     }
@@ -215,10 +207,6 @@ int main(int argc, char** argv) {
   options.seed = flags.seed;
   options.service.num_threads = flags.threads;
   options.service.queue_capacity = flags.queue;
-  // Generated requests leave the wire knobs unset, so the service defaults
-  // set here govern the whole run — one switch flips the entire mix.
-  options.service.antichain = flags.antichain != 0;
-  options.service.dense_threshold = flags.dense_threshold;
   options.classes = MixClasses(flags);
 
   if (flags.mode == "run") {

@@ -34,8 +34,6 @@ struct Flags {
   std::size_t queue = 1024;
   std::uint64_t deadline_ms = 0;
   int retries = 1;       // total attempts per request (1 = no retry)
-  int antichain = -1;    // -1 leaves the wire field unset (service default)
-  int dense_threshold = 0;  // 0 leaves the wire field unset
 };
 
 bool ParseInt(const char* arg, const char* name, long long* out) {
@@ -61,8 +59,7 @@ int Usage(const char* argv0) {
       "usage: %s [--mode=emit|drive] [--family=filter|failing|width|relab|"
       "replus|xpath|nfa|vstream|tstream]\n"
       "          [--n=N] [--count=N] [--distinct=N] [--threads=N] "
-      "[--queue=N] [--deadline-ms=N] [--retries=N]\n"
-      "          [--antichain=0|1] [--dense-threshold=N]\n",
+      "[--queue=N] [--deadline-ms=N] [--retries=N]\n",
       argv0);
   return 2;
 }
@@ -90,11 +87,6 @@ int main(int argc, char** argv) {
       flags.deadline_ms = static_cast<std::uint64_t>(v);
     } else if (ParseInt(argv[i], "--retries", &v)) {
       flags.retries = static_cast<int>(v);
-    } else if (ParseInt(argv[i], "--antichain", &v)) {
-      if (v > 1) return Usage(argv[0]);
-      flags.antichain = static_cast<int>(v);
-    } else if (ParseInt(argv[i], "--dense-threshold", &v)) {
-      flags.dense_threshold = static_cast<int>(v);
     } else {
       return Usage(argv[0]);
     }
@@ -108,12 +100,6 @@ int main(int argc, char** argv) {
   }
   for (xtc::ServiceRequest& request : *batch) {
     request.deadline_ms = flags.deadline_ms;
-    // Antichain knobs ride the wire fields, so emit mode reproduces them
-    // and drive mode exercises the same request-level resolution as xtcd.
-    if (flags.antichain >= 0) request.antichain = flags.antichain;
-    if (flags.dense_threshold > 0) {
-      request.dense_threshold = flags.dense_threshold;
-    }
   }
 
   if (flags.mode == "emit") {

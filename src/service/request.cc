@@ -250,19 +250,6 @@ StatusOr<ServiceRequest> ParseServiceRequest(std::string_view json_line) {
     }
     request.approximate_fallback = approx->AsBool();
   }
-  if (const JsonValue* antichain = doc.Find("antichain")) {
-    if (antichain->kind() != JsonValue::Kind::kBool) {
-      return FieldError("antichain", "must be a bool");
-    }
-    request.antichain = antichain->AsBool() ? 1 : 0;
-  }
-  if (const JsonValue* dense = doc.Find("dense_threshold")) {
-    if (dense->kind() != JsonValue::Kind::kNumber || dense->AsNumber() < 1) {
-      return FieldError("dense_threshold", "must be a number >= 1");
-    }
-    request.dense_threshold =
-        static_cast<int>(std::llround(dense->AsNumber()));
-  }
   if (const JsonValue* engine = doc.Find("engine")) {
     if (engine->kind() != JsonValue::Kind::kString) {
       return FieldError("engine", "must be a string");
@@ -408,13 +395,6 @@ std::string ServiceRequestToJson(const ServiceRequest& request) {
   }
   if (request.engine == TypecheckEngine::kDelRelab) {
     o.Set("engine", JsonValue::Str("delrelab"));
-  }
-  if (request.antichain >= 0) {
-    o.Set("antichain", JsonValue::Bool(request.antichain != 0));
-  }
-  if (request.dense_threshold > 0) {
-    o.Set("dense_threshold",
-          JsonValue::Number(static_cast<double>(request.dense_threshold)));
   }
   return o.Dump();
 }

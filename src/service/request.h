@@ -128,12 +128,9 @@ struct ServiceRequest {
   TypecheckEngine engine = TypecheckEngine::kAuto;
   /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int threads = 1;
-  /// Antichain subsumption pruning in the lazy emptiness engine (wire field
-  /// `antichain`). Tri-state: -1 defers to the service's configured
-  /// default, 0 forces off, 1 forces on.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int antichain = -1;
-  /// Dense/sparse switch-over for determinized subset masks (wire field
-  /// `dense_threshold`). 0 defers to the service default / engine default.
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int dense_threshold = 0;
 };
 

@@ -459,13 +459,6 @@ ServiceResponse TypecheckService::Execute(
       options.budget = budget_ptr;
       options.want_counterexample = request.want_counterexample;
       options.approximate_fallback = request.approximate_fallback;
-      // Antichain knobs: a request's explicit setting wins; the unset
-      // tri-state defers to the operator's configured default.
-      options.antichain = request.antichain >= 0 ? request.antichain != 0
-                                                 : options_.antichain;
-      options.dense_threshold = request.dense_threshold > 0
-                                    ? request.dense_threshold
-                                    : options_.dense_threshold;
       options.widths = &(*td)->widths;
       options.din_determinized = (*din)->determinized.get();
       options.dout_determinized = (*dout)->determinized.get();
@@ -474,12 +467,8 @@ ServiceResponse TypecheckService::Execute(
       // artifact keys pose the identical emptiness query, so discovered
       // tables from an earlier request warm-start this one. '\x1f' never
       // occurs in canonical texts, so the join is injective.
-      // The antichain flag joins the key: a pruned discovery table is a
-      // different (smaller) fixpoint than the full one, so snapshots are
-      // cached per-configuration rather than cross-resumed.
-      const std::string lazy_key = (*din)->key + '\x1f' + (*dout)->key +
-                                   '\x1f' + (*td)->key + '\x1f' +
-                                   (options.antichain ? '1' : '0');
+      const std::string lazy_key =
+          (*din)->key + '\x1f' + (*dout)->key + '\x1f' + (*td)->key;
       std::shared_ptr<const LazySnapshot> lazy_resume;
       LazySnapshot lazy_export;
       if (request.engine == TypecheckEngine::kDelRelab) {
@@ -502,10 +491,6 @@ ServiceResponse TypecheckService::Execute(
       response.typechecks = result->typechecks;
       response.approximate = result->approximate;
       response.engine_ms = result->stats.elapsed_ms;
-      pruned_configs_.fetch_add(result->stats.pruned_configs,
-                                std::memory_order_relaxed);
-      displaced_configs_.fetch_add(result->stats.displaced_configs,
-                                   std::memory_order_relaxed);
       if (result->counterexample != nullptr) {
         response.counterexample =
             ToTermString(result->counterexample, *alphabet);
@@ -582,9 +567,6 @@ ServiceStats TypecheckService::stats() const {
       shed_stream_limit_.load(std::memory_order_relaxed);
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
   stats.drain_cancelled = drain_cancelled_.load(std::memory_order_relaxed);
-  stats.pruned_configs = pruned_configs_.load(std::memory_order_relaxed);
-  stats.displaced_configs =
-      displaced_configs_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats.queue_depth = queue_.size();

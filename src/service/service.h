@@ -104,12 +104,6 @@ struct ServiceStats {
   std::uint64_t drain_cancelled = 0;   ///< queued work failed by Stop()
   double cost_ewma_ms = 0;             ///< smoothed per-request cost
 
-  // Antichain telemetry aggregated across typecheck requests (DESIGN.md
-  // §3e): configs dropped or displaced by subsumption in the lazy
-  // emptiness runs this service executed.
-  std::uint64_t pruned_configs = 0;
-  std::uint64_t displaced_configs = 0;
-
   std::uint64_t latency_count = 0;
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;
@@ -170,13 +164,9 @@ class TypecheckService {
     /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
     int max_request_threads = 8;
 
-    /// Default for requests whose `antichain` wire field is unset:
-    /// subsumption pruning in the lazy emptiness engine (DESIGN.md §3e).
-    /// A request's explicit true/false always wins.
+    /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
     bool antichain = true;
-    /// Default for requests whose `dense_threshold` wire field is unset:
-    /// the dense/sparse switch-over for determinized subset masks. 0
-    /// defers to the engine default (kDefaultDenseThreshold).
+    /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
     int dense_threshold = 0;
 
     /// Backpressure cap on concurrently open chunked-stream sessions
@@ -288,8 +278,6 @@ class TypecheckService {
   std::atomic<std::uint64_t> shed_stream_limit_{0};
   std::atomic<std::uint64_t> expired_in_queue_{0};
   std::atomic<std::uint64_t> drain_cancelled_{0};
-  std::atomic<std::uint64_t> pruned_configs_{0};
-  std::atomic<std::uint64_t> displaced_configs_{0};
   LatencyHistogram latency_;
 };
 

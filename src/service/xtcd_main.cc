@@ -33,8 +33,6 @@ struct Flags {
   std::uint64_t drain_ms = 5000;  // grace period for queued work on signal
   int degrade_pct = 75;           // load %: typechecks go approximate-only
   int reject_pct = 95;            // load %: requests are shed
-  int antichain = 1;              // default for requests not setting it (0/1)
-  int dense_threshold = 0;        // subset-mask dense/sparse cap (0 = engine)
   bool print_stats = false;
 };
 
@@ -70,8 +68,7 @@ int Usage(const char* argv0) {
                "usage: %s [--threads=N] [--queue=N] [--deadline-ms=N]\n"
                "          [--cache-mb=N] [--cache-shards=N] [--max-streams=N]\n"
                "          [--drain-ms=N] [--degrade-pct=N]\n"
-               "          [--reject-pct=N] [--antichain=0|1]\n"
-               "          [--dense-threshold=N] [--stats]\n"
+               "          [--reject-pct=N] [--stats]\n"
                "Reads NDJSON requests from stdin, writes NDJSON responses to "
                "stdout.\n"
                "SIGTERM/SIGINT drain gracefully: queued work gets --drain-ms "
@@ -104,11 +101,6 @@ int main(int argc, char** argv) {
       flags.degrade_pct = static_cast<int>(v);
     } else if (ParseFlag(argv[i], "--reject-pct", &v)) {
       flags.reject_pct = static_cast<int>(v);
-    } else if (ParseFlag(argv[i], "--antichain", &v)) {
-      if (v > 1) return Usage(argv[0]);
-      flags.antichain = static_cast<int>(v);
-    } else if (ParseFlag(argv[i], "--dense-threshold", &v)) {
-      flags.dense_threshold = static_cast<int>(v);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       flags.print_stats = true;
     } else {
@@ -128,8 +120,6 @@ int main(int argc, char** argv) {
   options.cache.max_bytes = flags.cache_mb << 20;
   options.cache.shards = flags.cache_shards;
   options.max_open_streams = flags.max_streams;
-  options.antichain = flags.antichain != 0;
-  options.dense_threshold = flags.dense_threshold;
   xtc::TypecheckService service(options);
 
   // The reader (main thread) submits; the writer drains futures in
@@ -257,7 +247,6 @@ int main(int argc, char** argv) {
                  "shed_queue_full=%llu shed_overload=%llu shed_deadline=%llu "
                  "shed_stopping=%llu shed_stream_limit=%llu "
                  "expired_in_queue=%llu "
-                 "pruned=%llu displaced=%llu "
                  "p50=%.3fms p99=%.3fms cache_hits=%llu cache_misses=%llu "
                  "cache_snapshot_hits=%llu cache_lock_waits=%llu "
                  "cache_bytes=%zu cache_entries=%zu cache_shards=%zu "
@@ -278,8 +267,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.shed_stopping),
                  static_cast<unsigned long long>(stats.shed_stream_limit),
                  static_cast<unsigned long long>(stats.expired_in_queue),
-                 static_cast<unsigned long long>(stats.pruned_configs),
-                 static_cast<unsigned long long>(stats.displaced_configs),
                  stats.latency_p50_ms, stats.latency_p99_ms,
                  static_cast<unsigned long long>(stats.cache.hits),
                  static_cast<unsigned long long>(stats.cache.misses),

@@ -1,12 +1,14 @@
 // Differential properties of the lazy frontier emptiness engine
 // (src/nta/lazy.h) against the eager reference pipeline: identical verdicts
-// on random instances, valid counterexample witnesses, agreement under
-// resource exhaustion, and snapshot export/resume round-trips.
+// on random instances and on a constructed family with a large universe,
+// valid counterexample witnesses, agreement under resource exhaustion, and
+// snapshot export/resume round-trips.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "src/base/arena.h"
 #include "src/base/budget.h"
@@ -67,6 +69,108 @@ TEST(LazyDeterminizeTest, VerdictsMatchEagerOnRandomInclusions) {
     }
   }
   // The sweep must exercise both verdicts to mean anything.
+  EXPECT_GT(nonempty, 0);
+  EXPECT_LT(nonempty, 80);
+}
+
+// A shift-register family: the existential side accepts every tree over
+// {u, b_1..b_k, n}; the determinized side's bottom-up subsets form the full
+// union lattice over k generators, all of which the lazy engine mints, and
+// its complement is empty. `pad` adds states that no rule reaches, so the
+// determinized factor's universe grows while every subset stays small.
+InclusionQuery MakeShiftRegister(int k, int pad) {
+  auto epsilon = [](int alphabet) {
+    Nfa nfa(alphabet);
+    nfa.AddState(/*initial=*/true, /*final=*/true);
+    return nfa;
+  };
+  const int num_symbols = k + 2;
+  auto a = std::make_unique<Nta>(num_symbols, 1);
+  a->SetFinal(0);
+  for (int s = 0; s <= k; ++s) a->SetTransition(0, s, epsilon(1));
+  Nfa one_or_more(1);
+  const int s0 = one_or_more.AddState(/*initial=*/true, /*final=*/false);
+  const int s1 = one_or_more.AddState(/*initial=*/false, /*final=*/true);
+  one_or_more.AddTransition(s0, 0, s1);
+  one_or_more.AddTransition(s1, 0, s1);
+  a->SetTransition(0, k + 1, one_or_more);
+
+  const int num_states = k + 1 + pad;
+  auto b = std::make_unique<Nta>(num_symbols, num_states);
+  b->SetFinal(0);
+  b->SetTransition(0, 0, epsilon(num_states));
+  for (int i = 1; i <= k; ++i) {
+    b->SetTransition(0, i, epsilon(num_states));
+    b->SetTransition(i, i, epsilon(num_states));
+  }
+  for (int q = 0; q <= k; ++q) {
+    Nfa contains(num_states);
+    const int c0 = contains.AddState(/*initial=*/true, /*final=*/false);
+    const int c1 = contains.AddState(/*initial=*/false, /*final=*/true);
+    for (int c = 0; c <= k; ++c) {
+      contains.AddTransition(c0, c, c0);
+      contains.AddTransition(c1, c, c1);
+    }
+    contains.AddTransition(c0, q, c1);
+    b->SetTransition(q, k + 1, contains);
+  }
+  InclusionQuery q{std::move(a), std::move(b), {}};
+  q.spec.AddNta(q.a.get());
+  q.spec.AddDeterminized(q.b.get(), /*complement=*/true);
+  return q;
+}
+
+// Both engines find the shift-register query empty, and the lazy engine
+// discovers all 2^k configs.
+void ExpectShiftRegisterEmpty(int k, int pad, std::uint64_t configs) {
+  InclusionQuery q = MakeShiftRegister(k, pad);
+  StatusOr<EmptinessOutcome> lazy = LazyEmptiness(q.spec, nullptr);
+  StatusOr<EmptinessOutcome> eager = EagerEmptiness(q.spec, nullptr);
+  ASSERT_TRUE(lazy.ok()) << "k " << k << ": " << lazy.status().ToString();
+  ASSERT_TRUE(eager.ok()) << "k " << k << ": " << eager.status().ToString();
+  EXPECT_TRUE(lazy->empty) << "k " << k;
+  EXPECT_TRUE(eager->empty) << "k " << k;
+  EXPECT_EQ(lazy->stats.configs, configs) << "k " << k;
+}
+
+TEST(LazyDeterminizeTest, ShiftRegisterFamilyMatchesEager) {
+  ExpectShiftRegisterEmpty(/*k=*/5, /*pad=*/0, /*configs=*/32);
+}
+
+TEST(LazyDeterminizeTest, SparseShiftRegisterFamilyMatchesEager) {
+  // Pad 2112 gives the determinized factor a universe of over 2048 states
+  // while every subset stays small.
+  ExpectShiftRegisterEmpty(/*k=*/6, /*pad=*/2112, /*configs=*/64);
+}
+
+TEST(LazyDeterminizeTest, EagerWitnessesAreCounterexamples) {
+  // The eager reference engine's witnesses, checked the way the lazy ones
+  // are in VerdictsMatchEagerOnRandomInclusions: accepted by the input NTA,
+  // rejected by the output NTA, on the same 80-seed sweep.
+  int nonempty = 0;
+  for (std::uint32_t seed = 1; seed <= 80; ++seed) {
+    InclusionQuery q = MakeInclusion(seed);
+    SharedForest forest;
+    StatusOr<EmptinessOutcome> eager = EagerEmptiness(q.spec, &forest);
+    StatusOr<EmptinessOutcome> lazy = LazyEmptiness(q.spec, nullptr);
+    ASSERT_TRUE(eager.ok()) << "seed " << seed << ": "
+                            << eager.status().ToString();
+    ASSERT_TRUE(lazy.ok()) << "seed " << seed << ": "
+                           << lazy.status().ToString();
+    EXPECT_EQ(eager->empty, lazy->empty) << "seed " << seed;
+    if (eager->empty) {
+      EXPECT_EQ(eager->witness, -1) << "seed " << seed;
+      continue;
+    }
+    ++nonempty;
+    ASSERT_GE(eager->witness, 0) << "seed " << seed;
+    Arena arena;
+    TreeBuilder builder(&arena);
+    StatusOr<Node*> tree = forest.Materialize(eager->witness, &builder, 1 << 20);
+    ASSERT_TRUE(tree.ok()) << "seed " << seed << ": " << tree.status().ToString();
+    EXPECT_TRUE(q.a->Accepts(*tree)) << "seed " << seed;
+    EXPECT_FALSE(q.b->Accepts(*tree)) << "seed " << seed;
+  }
   EXPECT_GT(nonempty, 0);
   EXPECT_LT(nonempty, 80);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/paper_examples.h"
+#include "src/schema/witness.h"
 #include "src/td/exec.h"
 #include "src/tree/codec.h"
 
@@ -57,7 +58,8 @@ TEST(ReachableTest, EmbedWitnessProducesValidContext) {
   StatusOr<Node*> subtree = ParseTerm("section(title paragraph paragraph)",
                                       ex.alphabet.get(), &builder);
   ASSERT_TRUE(subtree.ok());
-  Node* embedded = reach.EmbedWitness(q, section, *subtree, &builder);
+  Node* embedded = reach.EmbedWitness(q, section, *subtree,
+                                      MinimalTreeCosts(*ex.din), &builder);
   EXPECT_TRUE(ex.din->Valid(embedded));
   EXPECT_NE(ToTermString(embedded, *ex.alphabet)
                 .find("section(title paragraph paragraph)"),

@@ -303,6 +303,35 @@ std::vector<bool> RefBackward(const Nfa& n, const std::vector<bool>& allowed) {
   return seen;
 }
 
+TEST(ScratchSetTest, AddExtractClearCycle) {
+  ScratchSet scratch;
+  scratch.EnsureUniverse(300);
+  EXPECT_TRUE(scratch.Add(250));
+  EXPECT_TRUE(scratch.Add(3));
+  EXPECT_FALSE(scratch.Add(250));  // duplicate
+  EXPECT_TRUE(scratch.Add(64));
+  EXPECT_TRUE(scratch.Test(3));
+  EXPECT_FALSE(scratch.Test(4));
+  std::vector<int> out = {99};  // must be replaced, not appended to
+  scratch.ExtractSortedAndClear(&out);
+  EXPECT_EQ(out, (std::vector<int>{3, 64, 250}));
+  // The set is empty again and reusable at a larger universe.
+  EXPECT_FALSE(scratch.Test(3));
+  scratch.EnsureUniverse(1000);
+  EXPECT_TRUE(scratch.Add(999));
+  scratch.ExtractSortedAndClear(&out);
+  EXPECT_EQ(out, (std::vector<int>{999}));
+  // Clear empties without extracting.
+  EXPECT_TRUE(scratch.Add(5));
+  EXPECT_TRUE(scratch.Add(700));
+  scratch.Clear();
+  EXPECT_FALSE(scratch.Test(5));
+  EXPECT_FALSE(scratch.Test(700));
+  EXPECT_TRUE(scratch.Add(5));
+  scratch.ExtractSortedAndClear(&out);
+  EXPECT_EQ(out, (std::vector<int>{5}));
+}
+
 TEST(StateSetTest, NfaAnalysesMatchNaiveReferencesOnRandomAutomata) {
   std::mt19937 rng(20260806);
   for (int round = 0; round < 40; ++round) {
