@@ -21,6 +21,9 @@ set(forbidden
   # Reference engines and generators that the request path never reaches.
   # TypecheckRePlus, the Section 5 grammar engine, is min/vast's test oracle.
   TypecheckRePlus
+  # Moore DFA minimization is a test oracle (tests/moore_oracle.h); rule
+  # DFAs are minimized by Dfa::Minimize.
+  Dfa::Minimized
   # Eager DTAc completion: the Theorem 20 engine complements on the fly.
   CompletedDeterministic
   IsBottomUpDeterministic

@@ -109,7 +109,13 @@ StatusOr<TypecheckResult> TypecheckViaDeterminization(
   XTC_ASSIGN_OR_RETURN(
       Dtd dout_det, DeterminizeDtd(dout, max_dfa_states, options.budget,
                                    lazy ? &needed_out : nullptr));
-  return TypecheckTrac(t, din_det, dout_det, options);
+  StatusOr<TypecheckResult> result =
+      TypecheckTrac(t, din_det, dout_det, options);
+  if (result.ok()) {
+    result->stats.din_rule_states = din_det.RuleDfaStates();
+    result->stats.dout_rule_states = dout_det.RuleDfaStates();
+  }
+  return result;
 }
 
 }  // namespace xtc

@@ -15,13 +15,25 @@
 namespace xtc {
 namespace {
 
+// Stamps the rule-DFA sizes of the schemas an engine ran on.
+StatusOr<TypecheckResult> WithRuleStates(StatusOr<TypecheckResult> result,
+                                         const Dtd* din, const Dtd& dout) {
+  if (result.ok()) {
+    result->stats.din_rule_states = din != nullptr ? din->RuleDfaStates() : 0;
+    result->stats.dout_rule_states = dout.RuleDfaStates();
+  }
+  return result;
+}
+
 // Runs the engine `route` names (selectors already compiled away).
 StatusOr<TypecheckResult> TypecheckExact(const Transducer& t, const Dtd& din,
                                          const Dtd& dout,
                                          const TypecheckOptions& options,
                                          TypecheckRoute route) {
   if (route.engine == RouteEngine::kMinVast) {
-    return TypecheckMinVast(t, din, dout, options);
+    // min/vast reads d_in's RE+ factors and d_out's rule DFAs.
+    return WithRuleStates(TypecheckMinVast(t, din, dout, options), nullptr,
+                          dout);
   }
   if (route.engine != RouteEngine::kTrac) {
     return UnimplementedError(
@@ -31,7 +43,7 @@ StatusOr<TypecheckResult> TypecheckExact(const Transducer& t, const Dtd& din,
         "checking");
   }
   if (route.cell != Table1Cell::kNfa) {
-    return TypecheckTrac(t, din, dout, options);
+    return WithRuleStates(TypecheckTrac(t, din, dout, options), &din, dout);
   }
   // DTD(NFA) schemas: swap in a cached determinization when the caller has
   // one, otherwise determinize here (the PSPACE price).
@@ -46,7 +58,7 @@ StatusOr<TypecheckResult> TypecheckExact(const Transducer& t, const Dtd& din,
   if (!ein->IsDfaDtd() || !eout->IsDfaDtd()) {
     return TypecheckViaDeterminization(t, *ein, *eout, options);
   }
-  return TypecheckTrac(t, *ein, *eout, options);
+  return WithRuleStates(TypecheckTrac(t, *ein, *eout, options), ein, *eout);
 }
 
 }  // namespace

@@ -61,6 +61,15 @@ struct TypecheckStats {
   /// The Table 1 cell and engine that produced the answer; Typecheck()
   /// stamps it from Route(), direct engine calls leave it kNone.
   TypecheckRoute route;
+
+  /// Total states of the rule DFAs the routed engine ran on each side:
+  /// Lemma 14's |d_in| and |d_out| (Dtd::RuleDfaStates). Typecheck()
+  /// stamps them next to `route`; for DTD(NFA) schemas determinized inside
+  /// the call, TypecheckViaDeterminization stamps the DTDs it built. Zero
+  /// on a side the engine runs no rule DFA on (min/vast's d_in) and on
+  /// direct engine calls.
+  int din_rule_states = 0;
+  int dout_rule_states = 0;
 };
 
 /// Outcome of a typechecking run (Definition 9). When the instance does not

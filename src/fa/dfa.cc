@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
-#include <numeric>
 
 #include "src/base/interner.h"
 #include "src/base/logging.h"
@@ -190,61 +188,264 @@ bool Dfa::EquivalentTo(const Dfa& other) const {
   return IncludedIn(other) && other.IncludedIn(*this);
 }
 
-Dfa Dfa::Minimized() const { return *Minimized(nullptr); }
+namespace {
 
-StatusOr<Dfa> Dfa::Minimized(Budget* budget) const {
-  Dfa c = Completed();
-  // Restrict to states reachable from the initial state.
-  std::vector<int> order;
-  std::vector<int> index(c.num_states(), -1);
-  order.push_back(c.initial());
-  index[c.initial()] = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    int s = order[i];
-    for (int sym = 0; sym < c.num_symbols(); ++sym) {
-      int t = c.trans_[s][sym];
-      if (index[t] == -1) {
-        index[t] = static_cast<int>(order.size());
-        order.push_back(t);
-      }
-    }
-  }
-  const int n = static_cast<int>(order.size());
-  // Moore refinement on the reachable part.
-  std::vector<int> cls(n);
-  for (int i = 0; i < n; ++i) cls[i] = c.final_[order[i]] ? 1 : 0;
-  bool changed = true;
-  std::vector<int> sig;
-  while (changed) {
-    changed = false;
-    SubsetInterner sig_to_cls;
-    std::vector<int> next_cls(n);
+// A refinable partition of the elements 0..n-1 (Valmari and Lehtinen): set
+// s occupies positions [first[s], past[s]) of `elems`, `loc` inverts
+// `elems` and `set_of` maps each element to its set. Mark() moves an
+// element into the marked prefix of its set; Split() cuts every touched set
+// into its marked and unmarked parts and gives the smaller part a new id.
+// `marked` (per set, zero between splits) and `touched` are shared by the
+// state and transition partitions, which never hold marks at once.
+struct RefinablePartition {
+  int sets = 0;
+  int* elems;
+  int* loc;
+  int* set_of;
+  int* first;
+  int* past;
+  int* marked;
+  int* touched;
+  int num_touched = 0;
+
+  void Init(int n) {
+    sets = 1;
     for (int i = 0; i < n; ++i) {
-      XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dfa::Minimized"));
-      sig.clear();
-      sig.reserve(static_cast<std::size_t>(c.num_symbols()) + 1);
-      sig.push_back(cls[i]);
-      for (int sym = 0; sym < c.num_symbols(); ++sym) {
-        sig.push_back(cls[index[c.trans_[order[i]][sym]]]);
+      elems[i] = loc[i] = i;
+      set_of[i] = 0;
+    }
+    first[0] = 0;
+    past[0] = n;
+  }
+
+  void Mark(int e) {
+    const int s = set_of[e];
+    const int i = loc[e];
+    const int j = first[s] + marked[s];
+    elems[i] = elems[j];
+    loc[elems[i]] = i;
+    elems[j] = e;
+    loc[e] = j;
+    if (marked[s]++ == 0) touched[num_touched++] = s;
+  }
+
+  void Split() {
+    while (num_touched > 0) {
+      const int s = touched[--num_touched];
+      const int j = first[s] + marked[s];
+      if (j == past[s]) {
+        marked[s] = 0;
+        continue;
       }
-      next_cls[i] = sig_to_cls.Intern(sig);
-    }
-    if (next_cls != cls) {
-      changed = true;
-      cls = std::move(next_cls);
-    }
-  }
-  int num_classes = *std::max_element(cls.begin(), cls.end()) + 1;
-  Dfa out(c.num_symbols());
-  for (int k = 0; k < num_classes; ++k) out.AddState(false);
-  for (int i = 0; i < n; ++i) {
-    if (c.final_[order[i]]) out.SetFinal(cls[i]);
-    for (int sym = 0; sym < c.num_symbols(); ++sym) {
-      out.SetTransition(cls[i], sym, cls[index[c.trans_[order[i]][sym]]]);
+      if (marked[s] <= past[s] - j) {
+        first[sets] = first[s];
+        past[sets] = first[s] = j;
+      } else {
+        past[sets] = past[s];
+        first[sets] = past[s] = j;
+      }
+      for (int i = first[sets]; i < past[sets]; ++i) set_of[elems[i]] = sets;
+      marked[s] = marked[sets++] = 0;
     }
   }
-  out.SetInitial(cls[0]);
-  return out;
+};
+
+}  // namespace
+
+StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
+  XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dfa::Minimize"));
+  const int n = num_states();
+  // The empty language keeps one non-final state so initial() stays valid.
+  auto make_empty = [&]() -> bool {
+    if (n == 1 && initial_ == 0 && !final_[0] &&
+        std::all_of(trans_[0].begin(), trans_[0].end(),
+                    [](int t) { return t == kDead; })) {
+      return false;
+    }
+    if (n == 0) AddState(false);
+    trans_.resize(1);
+    final_.resize(1);
+    final_[0] = false;
+    std::fill(trans_[0].begin(), trans_[0].end(), kDead);
+    initial_ = 0;
+    return true;
+  };
+  if (n == 0 || initial_ == kDead) return make_empty();
+  if (n == 1 && final_[0]) return false;  // the ε rule, a*, ...
+
+  int m = 0;
+  for (const auto& row : trans_) {
+    for (int t : row) m += t != kDead ? 1 : 0;
+  }
+  const int num_sets = std::max(n, m) + 1;
+  const std::size_t need = 9 * static_cast<std::size_t>(m) +
+                           6 * static_cast<std::size_t>(n) + 2 +
+                           static_cast<std::size_t>(num_symbols_) +
+                           2 * static_cast<std::size_t>(num_sets);
+  int* next = workspace->Reserve(need);
+  auto carve = [&](int len) {
+    int* out = next;
+    next += len;
+    return out;
+  };
+  int* tail = carve(m);
+  int* label = carve(m);
+  int* head = carve(m);
+  int* in = carve(m);             // transitions grouped by head
+  int* in_first = carve(n + 1);   // in[in_first[q] .. in_first[q + 1])
+  int* label_first = carve(num_symbols_ + 1);
+  int* marked = carve(num_sets);
+  int* touched = carve(num_sets);
+  RefinablePartition blocks{0,        carve(n), carve(n), carve(n), carve(n),
+                            carve(n), marked,   touched};
+  RefinablePartition cords{0,        carve(m), carve(m), carve(m), carve(m),
+                           carve(m), marked,   touched};
+
+  // Counting sort of the transitions by key[t] in [0, keys) into `out`;
+  // afterwards out[first[k] .. first[k + 1]) lists the transitions of key k.
+  auto sort_by = [&](const int* key, int keys, int* first, int* out) {
+    std::fill(first, first + keys + 1, 0);
+    for (int t = 0; t < m; ++t) ++first[key[t]];
+    for (int k = 0; k < keys; ++k) first[k + 1] += first[k];
+    for (int t = m; t-- > 0;) out[--first[key[t]]] = t;
+  };
+
+  // Trimming. The first `reached` positions of blocks.elems hold the
+  // states reached so far.
+  int reached = 0;
+  auto reach = [&](int q) {
+    const int i = blocks.loc[q];
+    if (i < reached) return;
+    blocks.elems[i] = blocks.elems[reached];
+    blocks.loc[blocks.elems[i]] = i;
+    blocks.elems[reached] = q;
+    blocks.loc[q] = reached++;
+  };
+  blocks.Init(n);
+  // Forward, straight on the dense rows; only the transitions leaving a
+  // reachable state are collected.
+  reach(initial_);
+  for (int i = 0; i < reached; ++i) {
+    for (int t : trans_[static_cast<std::size_t>(blocks.elems[i])]) {
+      if (t != kDead) reach(t);
+    }
+  }
+  const int reachable = reached;
+  m = 0;
+  for (int s = 0; s < n; ++s) {
+    if (blocks.loc[s] >= reachable) continue;
+    const std::vector<int>& row = trans_[static_cast<std::size_t>(s)];
+    for (int a = 0; a < num_symbols_; ++a) {
+      if (row[static_cast<std::size_t>(a)] == kDead) continue;
+      tail[m] = s;
+      label[m] = a;
+      head[m] = row[static_cast<std::size_t>(a)];
+      ++m;
+    }
+  }
+  // Backward from the reachable finals, which thus come first: positions
+  // [0, finals) of blocks.elems are the final states.
+  reached = 0;
+  for (int q = 0; q < n; ++q) {
+    if (final_[q] && blocks.loc[q] < reachable) reach(q);
+  }
+  const int finals = reached;
+  sort_by(head, n, in_first, in);
+  for (int i = 0; i < reached; ++i) {
+    const int q = blocks.elems[i];
+    for (int j = in_first[q]; j < in_first[q + 1]; ++j) reach(tail[in[j]]);
+  }
+  const int useful = reached;
+  if (blocks.loc[initial_] >= useful) return make_empty();
+  blocks.past[0] = useful;
+  if (useful < reachable) {
+    // A transition into a useful state leaves a useful one, so filtering
+    // by head drops exactly the transitions that touch a useless state.
+    int kept = 0;
+    for (int t = 0; t < m; ++t) {
+      if (blocks.loc[head[t]] >= useful) continue;
+      tail[kept] = tail[t];
+      label[kept] = label[t];
+      head[kept] = head[t];
+      ++kept;
+    }
+    m = kept;
+    sort_by(head, n, in_first, in);
+  }
+
+  // Initial partition: finals and non-finals.
+  std::fill(marked, marked + num_sets, 0);
+  marked[0] = finals;
+  touched[blocks.num_touched++] = 0;
+  blocks.Split();
+  // Cords: the transitions grouped by label.
+  sort_by(label, num_symbols_, label_first, cords.elems);
+  for (int i = 0; i < m; ++i) {
+    const int t = cords.elems[i];
+    if (i == 0 || label[t] != label[cords.elems[i - 1]]) {
+      if (i > 0) cords.past[cords.sets - 1] = i;
+      cords.first[cords.sets++] = i;
+    }
+    cords.loc[t] = i;
+    cords.set_of[t] = cords.sets - 1;
+  }
+  if (m > 0) cords.past[cords.sets - 1] = m;
+
+  // Hopcroft refinement: each cord splits the blocks by its tails, and each
+  // new block splits the cords by its incoming transitions. Block 0 is
+  // never a splitter: the cords already separate by every label. Once
+  // every block is a single state nothing is left to split, which ends
+  // the loop early on the common, already minimal DFA.
+  for (int b = 1, c = 0; c < cords.sets && blocks.sets < useful; ++c) {
+    XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dfa::Minimize"));
+    for (int i = cords.first[c]; i < cords.past[c]; ++i) {
+      blocks.Mark(tail[cords.elems[i]]);
+    }
+    blocks.Split();
+    for (; b < blocks.sets; ++b) {
+      for (int i = blocks.first[b]; i < blocks.past[b]; ++i) {
+        const int q = blocks.elems[i];
+        for (int j = in_first[q]; j < in_first[q + 1]; ++j) cords.Mark(in[j]);
+      }
+      cords.Split();
+    }
+  }
+  const int classes = blocks.sets;
+  if (useful == n && classes == n) return false;
+
+  // Rewrite in place. Each class is numbered by its first member, so the
+  // representatives rep[0] < rep[1] < ... satisfy rep[k] >= k, and row k can
+  // take row rep[k] before any later representative's row is touched.
+  int* class_id = marked;
+  int* rep = touched;
+  std::fill(class_id, class_id + classes, -1);
+  int k = 0;
+  for (int q = 0; q < n; ++q) {
+    if (blocks.loc[q] >= useful) continue;
+    int& id = class_id[blocks.set_of[q]];
+    if (id < 0) {
+      id = k;
+      rep[k++] = q;
+    }
+  }
+  auto renamed = [&](int q) {
+    return blocks.loc[q] < useful ? class_id[blocks.set_of[q]] : kDead;
+  };
+  initial_ = renamed(initial_);
+  for (k = 0; k < classes; ++k) {
+    const int q = rep[k];
+    if (q != k) {
+      trans_[static_cast<std::size_t>(k)].swap(
+          trans_[static_cast<std::size_t>(q)]);
+      final_[static_cast<std::size_t>(k)] = final_[static_cast<std::size_t>(q)];
+    }
+    for (int& t : trans_[static_cast<std::size_t>(k)]) {
+      if (t != kDead) t = renamed(t);
+    }
+  }
+  trans_.resize(static_cast<std::size_t>(classes));
+  final_.resize(static_cast<std::size_t>(classes));
+  return true;
 }
 
 Nfa Dfa::ToNfa() const {
@@ -295,22 +496,28 @@ StatusOr<Dfa> Dfa::FromNfa(const Nfa& n, Budget* budget) {
     if (n.initial(s)) init.push_back(s);
   }
   out.SetInitial(intern(init));
-  std::vector<int> set;
+  // The subset's edges sorted by (symbol, target), and one symbol's
+  // targets; both keep their capacity across subsets.
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> tos;
   for (int from = 0; from < ids.size(); ++from) {
     XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dfa::FromNfa"));
-    // Copy out: the interner pool may reallocate as new subsets are minted.
-    const std::span<const int> stored = ids.Get(from);
-    set.assign(stored.begin(), stored.end());
-    // Collect successors per symbol sparsely.
-    std::map<int, std::vector<int>> succ;
-    for (int s : set) {
-      for (const auto& [sym, t] : n.Edges(s)) {
-        succ[sym].push_back(t);
-      }
+    // The edges are gathered before anything is interned: the interner
+    // pool, and so the span, may move once new subsets are minted.
+    edges.clear();
+    for (int s : ids.Get(from)) {
+      const auto& out_edges = n.Edges(s);
+      edges.insert(edges.end(), out_edges.begin(), out_edges.end());
     }
-    for (auto& [sym, tos] : succ) {
-      std::sort(tos.begin(), tos.end());
-      tos.erase(std::unique(tos.begin(), tos.end()), tos.end());
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    // Symbols in increasing order, so subset ids are minted in BFS order.
+    for (std::size_t i = 0; i < edges.size();) {
+      const int sym = edges[i].first;
+      tos.clear();
+      for (; i < edges.size() && edges[i].first == sym; ++i) {
+        tos.push_back(edges[i].second);
+      }
       out.SetTransition(from, sym, intern(tos));
     }
   }

@@ -1,6 +1,7 @@
 #ifndef XTC_FA_DFA_H_
 #define XTC_FA_DFA_H_
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -70,11 +71,38 @@ class Dfa {
   bool IncludedIn(const Dfa& other) const;
   bool EquivalentTo(const Dfa& other) const;
 
-  /// Moore partition-refinement minimization (complete result DFA over the
-  /// reachable part). The governed overload checkpoints per refinement
-  /// signature computed.
-  Dfa Minimized() const;
-  StatusOr<Dfa> Minimized(Budget* budget) const;
+  /// Reusable scratch for Minimize(): one flat int buffer. Rule-sized DFAs
+  /// fit the inline part and allocate nothing; larger ones use a heap
+  /// buffer that grows to the largest DFA the workspace has served.
+  class MinimizeWorkspace {
+   private:
+    friend class Dfa;
+    static constexpr std::size_t kInline = 1024;
+    int* Reserve(std::size_t n) {
+      if (n <= kInline) return inline_.data();
+      if (heap_.size() < n) heap_.resize(n);
+      return heap_.data();
+    }
+    std::array<int, kInline> inline_;
+    std::vector<int> heap_;
+  };
+
+  /// Minimizes this partial DFA in place and trims it: states unreachable
+  /// from the initial state and states that cannot reach a final state are
+  /// dropped, and no sink is added. Partition refinement in the style of
+  /// Hopcroft on partial DFAs (Valmari and Lehtinen, STACS 2008) over the
+  /// defined transitions only, O(m log n) for m defined transitions.
+  ///
+  /// Surviving states keep their relative order (each class is numbered by
+  /// its first member), so a subset-construction DFA stays in BFS order.
+  /// An empty language becomes one non-final state without transitions, so
+  /// initial() stays a valid state. Returns whether the DFA changed; an
+  /// already minimal and trimmed DFA is left untouched, and with a warm
+  /// workspace the call allocates nothing. Checkpoints `budget` once per
+  /// call and once per splitter (a set of same-label transitions); on
+  /// exhaustion the DFA is unchanged.
+  StatusOr<bool> Minimize(MinimizeWorkspace* workspace,
+                          Budget* budget = nullptr);
 
   Nfa ToNfa() const;
 

@@ -30,21 +30,27 @@ void AppendNfa(const Nfa& nfa, std::string* out) {
   }
 }
 
-void AppendDfa(const Dfa& dfa, std::string* out) {
+// Renders a kDfa rule from the NFA mirror SetRuleDfa derives: Compile()
+// minimizes the rule's DFA in place but never touches the mirror. The text
+// is the one the installed DFA itself renders to (ToNfa keeps state ids and
+// lists each state's edges by symbol).
+void AppendDfa(const Nfa& mirror, std::string* out) {
+  int initial = Dfa::kDead;
+  for (int s = 0; s < mirror.num_states(); ++s) {
+    if (mirror.initial(s)) initial = s;
+  }
   out->append("dfa ");
-  out->append(std::to_string(dfa.num_states()));
+  out->append(std::to_string(mirror.num_states()));
   out->append(" init ");
-  out->append(std::to_string(dfa.initial()));
-  for (int s = 0; s < dfa.num_states(); ++s) {
+  out->append(std::to_string(initial));
+  for (int s = 0; s < mirror.num_states(); ++s) {
     out->push_back(' ');
-    out->push_back(dfa.final(s) ? 'f' : '.');
-    for (int a = 0; a < dfa.num_symbols(); ++a) {
-      const int to = dfa.Step(s, a);
-      if (to == Dfa::kDead) continue;
+    out->push_back(mirror.final(s) ? 'f' : '.');
+    for (const auto& [symbol, target] : mirror.Edges(s)) {
       out->push_back(' ');
-      out->append(std::to_string(a));
+      out->append(std::to_string(symbol));
       out->push_back('>');
-      out->append(std::to_string(to));
+      out->append(std::to_string(target));
     }
     out->push_back(';');
   }
@@ -90,8 +96,7 @@ std::string CanonicalDtdText(const Dtd& dtd) {
         AppendNfa(dtd.RuleNfa(s), &out);
         break;
       case Dtd::RuleKind::kDfa:
-        // SetRuleDfa keeps the DFA it was given; the derived NFA mirrors it.
-        AppendDfa(dtd.RuleDfa(s), &out);
+        AppendDfa(dtd.RuleNfa(s), &out);
         break;
     }
     out.push_back('\n');

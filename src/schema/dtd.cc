@@ -114,20 +114,49 @@ const Nfa& Dtd::RuleNfa(int symbol) const {
   return *r.nfa;
 }
 
+Status Dtd::ForceRuleDfa(const Rule& r, Dfa::MinimizeWorkspace* workspace,
+                         Budget* budget) {
+  if (r.dfa_complete.has_value()) return Status::Ok();
+  const bool built = !r.dfa.has_value();
+  if (built) {
+    XTC_ASSIGN_OR_RETURN(r.dfa, Dfa::FromNfa(*r.nfa, budget));
+  }
+  XTC_RETURN_IF_ERROR(r.dfa->Minimize(workspace, budget).status());
+  r.dfa_complete = r.dfa->Completed();
+  if (budget != nullptr) {
+    const std::size_t ints =
+        (built ? r.dfa->Size() : 0) + r.dfa_complete->Size();
+    budget->ChargeBytes(ints * sizeof(int));
+  }
+  return Status::Ok();
+}
+
 const Dfa& Dtd::RuleDfa(int symbol) const {
   const Rule& r = rule(symbol);
-  if (!r.dfa.has_value()) {
-    r.dfa = Dfa::FromNfa(*r.nfa);
+  if (!r.dfa_complete.has_value()) {
+    Dfa::MinimizeWorkspace workspace;
+    // Ungoverned, so it cannot fail.
+    XTC_CHECK(ForceRuleDfa(r, &workspace, nullptr).ok());
   }
   return *r.dfa;
 }
 
 const Dfa& Dtd::RuleDfaComplete(int symbol) const {
-  const Rule& r = rule(symbol);
-  if (!r.dfa_complete.has_value()) {
-    r.dfa_complete = RuleDfa(symbol).Completed();
+  RuleDfa(symbol);
+  return *rule(symbol).dfa_complete;
+}
+
+int Dtd::RuleDfaStates() const {
+  int total = 0;
+  for (int s = 0; s < num_symbols_; ++s) {
+    const RuleKind kind = rule(s).kind;
+    if (kind == RuleKind::kEpsilonDefault || kind == RuleKind::kNfa ||
+        kind == RuleKind::kNondetRegex) {
+      continue;
+    }
+    total += RuleDfa(s).num_states();
   }
-  return *r.dfa_complete;
+  return total;
 }
 
 const RePlus* Dtd::RuleRePlus(int symbol) const {
@@ -138,19 +167,10 @@ const RePlus* Dtd::RuleRePlus(int symbol) const {
 Status Dtd::Compile(Budget* budget) {
   // The shared default-ε rule is forced too: RuleDfa on an undeclared
   // symbol would otherwise write into default_rule_ on first use.
+  Dfa::MinimizeWorkspace workspace;
   auto force = [&](const Rule& r) -> Status {
     XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dtd::Compile"));
-    if (!r.dfa.has_value()) {
-      XTC_ASSIGN_OR_RETURN(r.dfa, Dfa::FromNfa(*r.nfa, budget));
-      if (budget != nullptr) budget->ChargeBytes(r.dfa->Size() * sizeof(int));
-    }
-    if (!r.dfa_complete.has_value()) {
-      r.dfa_complete = r.dfa->Completed();
-      if (budget != nullptr) {
-        budget->ChargeBytes(r.dfa_complete->Size() * sizeof(int));
-      }
-    }
-    return Status::Ok();
+    return ForceRuleDfa(r, &workspace, budget);
   };
   XTC_RETURN_IF_ERROR(force(default_rule_));
   for (int s = 0; s < num_symbols_; ++s) {
@@ -168,7 +188,7 @@ bool Dtd::IsCompiled() const {
   for (int s = 0; s < num_symbols_; ++s) {
     const Rule& r = rules_[static_cast<std::size_t>(s)];
     if (r.kind == RuleKind::kEpsilonDefault && !r.nfa.has_value()) continue;
-    if (!r.dfa.has_value() || !r.dfa_complete.has_value()) return false;
+    if (!r.dfa_complete.has_value()) return false;
   }
   return true;
 }

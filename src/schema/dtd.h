@@ -66,24 +66,42 @@ class Dtd {
   /// The rule's NFA (default-ε for undeclared symbols).
   const Nfa& RuleNfa(int symbol) const;
 
-  /// The rule as a (partial) DFA; subset construction is cached. For
-  /// kNondetRegex/kNfa rules this can be exponential — that is the
-  /// DTD(NFA) → DTD(DFA) cost the paper's PSPACE row charges.
+  /// The rule as a (partial) DFA, cached. For kNondetRegex/kNfa rules the
+  /// subset construction can be exponential — that is the DTD(NFA) →
+  /// DTD(DFA) cost the paper's PSPACE row charges.
+  ///
+  /// Invariant: every rule DFA a Dtd hands out is minimal and trimmed
+  /// (Dfa::Minimize), whether it came from subset construction or from
+  /// SetRuleDfa: no unreachable state, no state that cannot reach a final
+  /// state, no sink (an empty rule language keeps one non-final state as
+  /// its initial state). These state counts are Lemma 14's |d_in| and
+  /// |d_out|, which sit in the exponent of the trac engine's bound.
+  /// RuleDfa() and Compile() force rules through the same helper, so direct
+  /// engine calls and the compile cache explore the same automata.
   const Dfa& RuleDfa(int symbol) const;
 
-  /// The rule as a complete DFA (cached); the Lemma 14 engine runs these.
+  /// The rule as a complete DFA (cached): RuleDfa() plus at most one sink
+  /// state. The Lemma 14 engine runs these.
   const Dfa& RuleDfaComplete(int symbol) const;
+
+  /// Total states of the declared deterministic rules' DFAs (explicit DFA,
+  /// one-unambiguous regex, RE+): Lemma 14's |d| counted in rule-DFA
+  /// states. kNfa and kNondetRegex rules are skipped, so this never runs an
+  /// exponential subset construction; DeterminizeDtd keeps exactly the
+  /// rules the engine never consults in that form.
+  int RuleDfaStates() const;
 
   /// The rule's RE+ shape, if it has one.
   const RePlus* RuleRePlus(int symbol) const;
 
-  /// Forces every lazily computed member — each rule's (complete) DFA and
-  /// the inhabitation fixpoint — so that all later const access is a pure
-  /// read. A Dtd is thread-compatible only after Compile(): RuleDfa /
-  /// RuleDfaComplete / InhabitedSymbols populate `mutable` caches on first
-  /// use, which is a data race when a cached schema artifact is shared
-  /// across service workers (src/base/README.md). The subset constructions
-  /// are governed by `budget` — for DTD(NFA) rules they are worst-case
+  /// Forces every lazily computed member — each rule's minimized DFA, its
+  /// completion, and the inhabitation fixpoint — so that all later const
+  /// access is a pure read. A Dtd is thread-compatible only after
+  /// Compile(): RuleDfa / RuleDfaComplete / InhabitedSymbols populate
+  /// `mutable` caches on first use, which is a data race when a cached
+  /// schema artifact is shared across service workers
+  /// (src/base/README.md). The subset constructions and minimizations are
+  /// governed by `budget` — for DTD(NFA) rules they are worst-case
   /// exponential (the PSPACE price of Table 1), and a compile cache must
   /// degrade softly rather than thrash on a hostile schema.
   Status Compile(Budget* budget = nullptr);
@@ -142,9 +160,16 @@ class Dtd {
     RegexPtr regex;
     std::optional<RePlus> re_plus;
     std::optional<Nfa> nfa;
+    // As installed by SetRuleDfa until forced; minimal once dfa_complete
+    // is set.
     mutable std::optional<Dfa> dfa;
     mutable std::optional<Dfa> dfa_complete;
   };
+
+  // Builds the rule's DFA if it has none, minimizes and trims it, and
+  // completes it; `dfa_complete` marks a forced rule.
+  static Status ForceRuleDfa(const Rule& r, Dfa::MinimizeWorkspace* workspace,
+                             Budget* budget);
 
   const Rule& rule(int symbol) const;
   Rule& mutable_rule(int symbol);

@@ -1,7 +1,7 @@
 #include "src/schema/witness.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "src/base/logging.h"
 
@@ -15,28 +15,43 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return s < a ? kInfiniteCost : s;
 }
 
+// Dijkstra buffers reused across CheapestWord calls: a MinimalTreeCosts
+// run calls it once per symbol per fixpoint pass.
+struct CheapestWordScratch {
+  using Item = std::pair<uint64_t, int>;
+  std::vector<uint64_t> dist;
+  std::vector<std::pair<int, int>> pred;
+  std::vector<Item> heap;  // min-heap under std::greater
+};
+
 // Minimal total symbol-cost of a word accepted by `nfa`, where letter s
 // costs costs[s]; also returns such a word when `word` is non-null.
 // Dijkstra over NFA states.
 uint64_t CheapestWord(const Nfa& nfa, const std::vector<uint64_t>& costs,
-                      std::vector<int>* word) {
+                      CheapestWordScratch* scratch, std::vector<int>* word) {
   const uint64_t kInf = kInfiniteCost;
-  std::vector<uint64_t> dist(static_cast<std::size_t>(nfa.num_states()), kInf);
-  std::vector<std::pair<int, int>> pred(
-      static_cast<std::size_t>(nfa.num_states()), {-1, -1});
-  using Item = std::pair<uint64_t, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  std::vector<uint64_t>& dist = scratch->dist;
+  std::vector<std::pair<int, int>>& pred = scratch->pred;
+  std::vector<CheapestWordScratch::Item>& heap = scratch->heap;
+  dist.assign(static_cast<std::size_t>(nfa.num_states()), kInf);
+  pred.assign(static_cast<std::size_t>(nfa.num_states()), {-1, -1});
+  heap.clear();
+  auto push = [&](uint64_t d, int s) {
+    heap.emplace_back(d, s);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  };
   for (int s = 0; s < nfa.num_states(); ++s) {
     if (nfa.initial(s)) {
       dist[static_cast<std::size_t>(s)] = 0;
-      pq.emplace(0, s);
+      push(0, s);
     }
   }
   int best_final = -1;
   uint64_t best = kInf;
-  while (!pq.empty()) {
-    auto [d, s] = pq.top();
-    pq.pop();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, s] = heap.back();
+    heap.pop_back();
     if (d != dist[static_cast<std::size_t>(s)]) continue;
     if (nfa.final(s)) {
       best_final = s;
@@ -50,7 +65,7 @@ uint64_t CheapestWord(const Nfa& nfa, const std::vector<uint64_t>& costs,
       if (nd < dist[static_cast<std::size_t>(t)]) {
         dist[static_cast<std::size_t>(t)] = nd;
         pred[static_cast<std::size_t>(t)] = {s, sym};
-        pq.emplace(nd, t);
+        push(nd, t);
       }
     }
   }
@@ -76,12 +91,13 @@ StatusOr<std::vector<uint64_t>> MinimalTreeCosts(const Dtd& dtd,
                                                  Budget* budget) {
   const int n = dtd.num_symbols();
   std::vector<uint64_t> costs(static_cast<std::size_t>(n), kInfiniteCost);
+  CheapestWordScratch scratch;
   bool changed = true;
   while (changed) {
     changed = false;
     for (int s = 0; s < n; ++s) {
       XTC_RETURN_IF_ERROR(BudgetCheck(budget, "MinimalTreeCosts"));
-      uint64_t w = CheapestWord(dtd.RuleNfa(s), costs, nullptr);
+      uint64_t w = CheapestWord(dtd.RuleNfa(s), costs, &scratch, nullptr);
       uint64_t c = SatAdd(1, w);
       if (c < costs[static_cast<std::size_t>(s)]) {
         costs[static_cast<std::size_t>(s)] = c;
@@ -96,16 +112,17 @@ namespace {
 
 StatusOr<Node*> MinimalTreeRec(const Dtd& dtd, int symbol,
                                const std::vector<uint64_t>& costs,
+                               CheapestWordScratch* scratch,
                                TreeBuilder* builder, Budget* budget) {
   XTC_RETURN_IF_ERROR(BudgetCheck(budget, "MinimalValidTree"));
   std::vector<int> word;
-  uint64_t w = CheapestWord(dtd.RuleNfa(symbol), costs, &word);
+  uint64_t w = CheapestWord(dtd.RuleNfa(symbol), costs, scratch, &word);
   XTC_CHECK_MSG(w != kInfiniteCost, "symbol is not inhabited");
   std::vector<Node*> kids;
   kids.reserve(word.size());
   for (int c : word) {
-    XTC_ASSIGN_OR_RETURN(Node * kid,
-                         MinimalTreeRec(dtd, c, costs, builder, budget));
+    XTC_ASSIGN_OR_RETURN(
+        Node * kid, MinimalTreeRec(dtd, c, costs, scratch, builder, budget));
     kids.push_back(kid);
   }
   return builder->Make(symbol, kids);
@@ -132,7 +149,8 @@ StatusOr<Node*> MinimalValidTree(const Dtd& dtd, int symbol,
   if (costs[static_cast<std::size_t>(symbol)] == kInfiniteCost) {
     return FailedPreconditionError("symbol is not inhabited");
   }
-  return MinimalTreeRec(dtd, symbol, costs, builder, budget);
+  CheapestWordScratch scratch;
+  return MinimalTreeRec(dtd, symbol, costs, &scratch, builder, budget);
 }
 
 namespace {

@@ -579,6 +579,31 @@ TEST(CanonicalTest, SkeletonAndCompiledDtdAgreeOnCanonicalText) {
   ASSERT_TRUE(skeleton->Compile().ok());
   EXPECT_EQ(CanonicalDtdText(*skeleton), before);
   EXPECT_EQ(StructuralDtdHash(*skeleton), hash_before);
+
+  // Compile() minimizes a SetRuleDfa rule in place; the address is taken
+  // from what was installed, so it does not move either. The DFA below
+  // accepts a* with a redundant state, an unreachable one and a dead one.
+  Alphabet ab;
+  const int a = ab.Intern("a");
+  const int r = ab.Intern("r");
+  Dtd dtd(&ab, r);
+  Dfa redundant(ab.size());
+  const int s0 = redundant.AddState(/*final=*/true);
+  const int s1 = redundant.AddState(/*final=*/true);
+  redundant.AddState(/*final=*/true);  // unreachable
+  const int dead = redundant.AddState(/*final=*/false);
+  redundant.SetInitial(s0);
+  redundant.SetTransition(s0, a, s1);
+  redundant.SetTransition(s1, a, s0);
+  redundant.SetTransition(s1, r, dead);
+  dtd.SetRuleDfa(r, redundant);
+  const std::string installed = CanonicalDtdText(dtd);
+  EXPECT_NE(installed.find("dfa 4 init 0 f 0>1; f 0>0 1>3; f; .;"),
+            std::string::npos)
+      << installed;
+  ASSERT_TRUE(dtd.Compile().ok());
+  EXPECT_EQ(dtd.RuleDfa(r).num_states(), 1);
+  EXPECT_EQ(CanonicalDtdText(dtd), installed);
 }
 
 TEST(CanonicalTest, TransducerTextDistinguishesRulesAndStates) {

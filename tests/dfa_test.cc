@@ -6,6 +6,7 @@
 
 #include "src/fa/alphabet.h"
 #include "src/fa/regex.h"
+#include "tests/moore_oracle.h"
 
 namespace xtc {
 namespace {
@@ -102,9 +103,14 @@ TEST(DfaTest, MinimizationPreservesLanguageAndShrinks) {
   d.SetTransition(s1, 0, s2);
   d.SetTransition(s2, 0, s3);
   d.SetTransition(s3, 0, s0);
-  Dfa m = d.Minimized();
+  Dfa m = d;
+  Dfa::MinimizeWorkspace workspace;
+  StatusOr<bool> changed = m.Minimize(&workspace);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_TRUE(*changed);
   EXPECT_EQ(m.num_states(), 2);
   EXPECT_TRUE(m.EquivalentTo(d));
+  EXPECT_EQ(MooreMinimized(d).num_states(), 2);
 }
 
 TEST(DfaTest, ReverseAcceptsMirroredWords) {

@@ -9,6 +9,7 @@
 
 #include "src/fa/dfa.h"
 #include "src/fa/regex.h"
+#include "tests/moore_oracle.h"
 
 namespace xtc {
 namespace {
@@ -43,9 +44,14 @@ TEST_P(FaPropertyTest, PipelineAgreesOnAllShortWords) {
   Dfa dfa = Dfa::FromNfa(nfa);
   Dfa complete = dfa.Completed();
   Dfa complement = dfa.Complemented();
-  Dfa minimized = dfa.Minimized();
+  Dfa minimized = MooreMinimized(dfa);
   EXPECT_TRUE(minimized.EquivalentTo(dfa));
   EXPECT_LE(minimized.num_states(), complete.num_states());
+  Dfa trimmed = dfa;
+  Dfa::MinimizeWorkspace workspace;
+  ASSERT_TRUE(trimmed.Minimize(&workspace).ok());
+  EXPECT_TRUE(trimmed.EquivalentTo(dfa));
+  EXPECT_EQ(trimmed.num_states(), std::max(1, UsefulClasses(minimized)));
   for (const auto& w : AllWords(3, 5)) {
     bool in_nfa = nfa.Accepts(w);
     EXPECT_EQ(dfa.Accepts(w), in_nfa) << GetParam();

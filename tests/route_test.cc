@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "src/core/nfa_dtd.h"
+#include "src/core/trac.h"
 #include "src/core/typecheck.h"
 #include "src/td/compile_selectors.h"
 #include "src/workload/families.h"
@@ -83,6 +84,50 @@ TEST(RouteTest, NfaSchemasAreDeterminizedThenRoutedAgain) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->typechecks);
   EXPECT_EQ(r->stats.route, kNfaTrac);
+}
+
+// Lemma 14's |d_in| and |d_out|: the states of the (minimal, trimmed) rule
+// DFAs on each side of the engine that ran. WidthFamily's d_in has two
+// rules a? of two states each; its d_out rules b* shrink to one state each.
+TEST(RouteTest, TypecheckStampsTheRuleDfaSizesTheEngineRan) {
+  PaperExample width = WidthFamily(7, 7);
+  StatusOr<TypecheckResult> r =
+      Typecheck(*width.transducer, *width.din, *width.dout);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.din_rule_states, 4);
+  EXPECT_EQ(r->stats.dout_rule_states, 2);
+  // Direct engine calls leave them unset.
+  StatusOr<TypecheckResult> direct =
+      TypecheckTrac(*width.transducer, *width.din, *width.dout);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->stats.din_rule_states, 0);
+  EXPECT_EQ(direct->stats.dout_rule_states, 0);
+
+  // min/vast runs no rule DFA of d_in.
+  PaperExample replus = RePlusCopyFamily(4);
+  r = Typecheck(*replus.transducer, *replus.din, *replus.dout);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.din_rule_states, 0);
+  EXPECT_GT(r->stats.dout_rule_states, 0);
+
+  // DTD(NFA): the sizes are those of the determinized schemas, whether
+  // Typecheck() determinizes or the caller hands in cached ones. The input
+  // rule "4th letter from the end" needs 2^4 states.
+  PaperExample nfa = NfaSchemaFamily(4);
+  r = Typecheck(*nfa.transducer, *nfa.din, *nfa.dout);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.din_rule_states, 16);
+  StatusOr<Dtd> din_det = DeterminizeDtd(*nfa.din, 1 << 16);
+  StatusOr<Dtd> dout_det = DeterminizeDtd(*nfa.dout, 1 << 16);
+  ASSERT_TRUE(din_det.ok() && dout_det.ok());
+  TypecheckOptions options;
+  options.din_determinized = &*din_det;
+  options.dout_determinized = &*dout_det;
+  StatusOr<TypecheckResult> cached =
+      Typecheck(*nfa.transducer, *nfa.din, *nfa.dout, options);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(cached->stats.din_rule_states, r->stats.din_rule_states);
+  EXPECT_EQ(cached->stats.dout_rule_states, r->stats.dout_rule_states);
 }
 
 TEST(RouteTest, UnboundedDpwOverNonRePlusSchemasHasNoEngine) {
