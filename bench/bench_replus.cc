@@ -63,6 +63,30 @@ void BM_RePlus_Typecheck(benchmark::State& state) {
 }
 BENCHMARK(BM_RePlus_Typecheck)->DenseRange(2, 12, 2);
 
+// xtcbench's replus class at the front door: d_in's `a` -> b1+ ... bm+ is
+// deleted and its children copied `copies` times, so d_out's one rule has
+// about m·copies rule-DFA states (`dout_rule_states`) and every effect
+// table min/vast composes is that wide.
+void BM_RePlus_MinVastDeleting(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int copies = static_cast<int>(state.range(1));
+  PaperExample ex = RePlusDeletingFamily(m, copies, /*failing=*/false);
+  TypecheckOptions opts;
+  opts.want_counterexample = false;
+  int dout_states = 0;
+  for (auto _ : state) {
+    StatusOr<TypecheckResult> r =
+        Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
+    XTC_CHECK(r.ok() && r->typechecks);
+    XTC_CHECK(r->stats.route.engine == RouteEngine::kMinVast);
+    dout_states = r->stats.dout_rule_states;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["dout_rule_states"] = dout_states;
+}
+BENCHMARK(BM_RePlus_MinVastDeleting)->Args({4, 2})->Args({11, 8})
+    ->Args({16, 16});
+
 // Witness size on the chain whose only t_min/t_vast counterexample is
 // t_vast ((4^{d+1}-1)/3 nodes unshrunk): Typecheck() shrinks it on the DAG
 // before materializing. `witness_nodes` should equal the Lemma 14 engine's

@@ -30,6 +30,7 @@ BENCHES=(
   bench_thm18_hardness
   bench_table1_frontier
   bench_thm20_relab
+  bench_replus
   bench_service
   bench_stream
 )

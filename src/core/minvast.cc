@@ -43,9 +43,18 @@ class SymbolicChecker {
   // are meaningless while status() is non-OK.
   const Status& status() const { return status_; }
 
+  // Effect tables plus validity entries built so far.
+  std::uint64_t evaluations() const {
+    return eff_memo_.size() + valid_memo_.size();
+  }
+
  private:
   // delta* of the complete DFA for d_out(sigma) over the string
-  // top(T^{p}(t_node)), as a function table Q_sigma -> Q_sigma.
+  // top(T^{p}(t_node)), as a function table Q_sigma -> Q_sigma. It is
+  // composed left to right from the identity, fetching each (rhs state,
+  // child) table once: O(|rhs|·k) memo lookups plus O(|Q_sigma|·|rhs|·k)
+  // array reads. Misses, and so budget checkpoints, come rhs-major and
+  // child-minor.
   const std::vector<int>& Eff(int p, int node, int sigma) {
     auto key = std::make_tuple(p, node, sigma);
     auto it = eff_memo_.find(key);
@@ -56,19 +65,16 @@ class SymbolicChecker {
     for (int x = 0; x < d.num_states(); ++x) f[static_cast<std::size_t>(x)] = x;
     const RhsHedge* rhs = t_.rule(p, forest_.label(node));
     if (rhs != nullptr && status_.ok()) {
-      for (int x = 0; x < d.num_states(); ++x) {
-        int cur = x;
-        for (const RhsNode& n : *rhs) {
-          if (n.kind == RhsNode::Kind::kLabel) {
-            cur = d.Step(cur, n.label);
-          } else {
-            XTC_CHECK(n.kind == RhsNode::Kind::kState);
-            for (int c : forest_.children(node)) {
-              cur = Eff(n.state, c, sigma)[static_cast<std::size_t>(cur)];
-            }
-          }
+      for (const RhsNode& n : *rhs) {
+        if (n.kind == RhsNode::Kind::kLabel) {
+          for (int& y : f) y = d.Step(y, n.label);
+          continue;
         }
-        f[static_cast<std::size_t>(x)] = cur;
+        XTC_CHECK(n.kind == RhsNode::Kind::kState);
+        for (int c : forest_.children(node)) {
+          const std::vector<int>& g = Eff(n.state, c, sigma);
+          for (int& y : f) y = g[static_cast<std::size_t>(y)];
+        }
       }
     }
     return eff_memo_.emplace(key, std::move(f)).first->second;
@@ -255,6 +261,7 @@ StatusOr<TypecheckResult> TypecheckMinVast(const Transducer& t, const Dtd& din,
   result.stats.configs = static_cast<std::uint64_t>(witnesses->forest.size());
   if (bad == -1) {
     result.typechecks = true;
+    result.stats.evaluations = checker.evaluations();
     finalize();
     return result;
   }
@@ -269,6 +276,7 @@ StatusOr<TypecheckResult> TypecheckMinVast(const Transducer& t, const Dtd& din,
                          witnesses->forest.Materialize(
                              bad, &builder, kMaxCounterexampleNodes));
   }
+  result.stats.evaluations = checker.evaluations();
   finalize();
   return result;
 }

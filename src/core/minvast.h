@@ -19,9 +19,13 @@ inline constexpr std::uint64_t kMaxCounterexampleNodes = 1 << 20;
 /// (t_vast's unfolding doubles below every +, so it is exponential as a
 /// tree but polynomial as a DAG) and T(t)'s conformance to d_out is checked
 /// symbolically with per-(shared node, state) memoization, keeping the
-/// whole check polynomial. A failing t_vast is shrunk on the DAG before it
-/// is materialized (subtrees swapped for t_min, spare + copies cut, each
-/// step re-verified), so counterexamples stay near Lemma 14's size.
+/// whole check polynomial. Each effect table (the map Q_sigma -> Q_sigma
+/// a translated node's top-level string induces on an output rule's
+/// complete DFA) is composed once per child: O(|rhs|·k) memo lookups plus
+/// O(|Q_sigma|·|rhs|·k) array reads for k children. A failing t_vast is
+/// shrunk on the DAG before it is materialized (subtrees swapped for t_min,
+/// spare + copies cut, each step re-verified), so counterexamples stay near
+/// Lemma 14's size.
 /// Typecheck() routes every DTD(RE+) instance here.
 StatusOr<TypecheckResult> TypecheckMinVast(const Transducer& t, const Dtd& din,
                                            const Dtd& dout,

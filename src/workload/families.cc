@@ -1,7 +1,9 @@
 #include "src/workload/families.h"
 
+#include <cstddef>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -175,6 +177,49 @@ PaperExample RePlusVastChainFamily(int d) {
     MustSetRule(ex.transducer.get(), "q", x(i), x(i) + "(q)");
     MustSetRule(ex.transducer.get(), "q", y(i), y(i) + "(q)");
   }
+  return ex;
+}
+
+PaperExample RePlusDeletingFamily(int m, int copies, bool failing) {
+  XTC_CHECK_GE(m, 1);
+  XTC_CHECK_GE(copies, 1);
+  PaperExample ex;
+  ex.alphabet = std::make_shared<Alphabet>();
+  ex.alphabet->Intern("r");
+  ex.alphabet->Intern("a");
+  std::vector<std::string> blocks;
+  for (int i = 1; i <= m; ++i) {
+    const std::string b = "b" + std::to_string(i);
+    ex.alphabet->Intern(b);
+    blocks.push_back(b + "+");
+  }
+  auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (const std::string& p : parts) out += (out.empty() ? "" : " ") + p;
+    return out;
+  };
+  const std::string word = join(blocks);
+  ex.din = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
+  MustSetDtdRule(ex.din.get(), "r", "a");
+  MustSetDtdRule(ex.din.get(), "a", word);
+  ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
+  int q0 = ex.transducer->AddState("q0");
+  ex.transducer->AddState("q");
+  ex.transducer->SetInitial(q0);
+  std::vector<std::string> states(static_cast<std::size_t>(copies), "q");
+  MustSetRule(ex.transducer.get(), "q0", "r", "r(q)");
+  MustSetRule(ex.transducer.get(), "q", "a", join(states));
+  for (int i = 1; i <= m; ++i) {
+    const std::string b = "b" + std::to_string(i);
+    MustSetRule(ex.transducer.get(), "q", b, b);
+  }
+  std::vector<std::string> out(static_cast<std::size_t>(copies), word);
+  if (failing) {
+    std::swap(blocks.front(), blocks.back());
+    out.back() = join(blocks);
+  }
+  ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("r"));
+  MustSetDtdRule(ex.dout.get(), "r", join(out));
   return ex;
 }
 

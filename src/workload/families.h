@@ -34,6 +34,15 @@ PaperExample RePlusCopyFamily(int n);
 /// one (one extra x_d) has 2^{d+1} nodes.
 PaperExample RePlusVastChainFamily(int d);
 
+/// The deleting copier of xtcbench's replus class, over DTD(RE+) schemas
+/// (m, copies >= 1): d_in has r -> a and a -> b1+ ... bm+; the transducer
+/// keeps r, deletes `a` and copies its children `copies` times, so d_out's
+/// only rule, r -> (b1+ ... bm+)^copies, has about m·copies rule-DFA states
+/// and accepts every translation. `failing` swaps the first and last blocks
+/// of d_out's last copy, so every input fails; with m = 1 there is only one
+/// block and the instance still typechecks.
+PaperExample RePlusDeletingFamily(int m, int copies, bool failing);
+
 /// Child-only XPath pattern of length n (Theorem 23 scaling).
 PaperExample XPathChainFamily(int n);
 

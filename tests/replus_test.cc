@@ -4,7 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/base/budget.h"
 #include "src/core/brute_force.h"
@@ -169,6 +172,131 @@ TEST_P(RePlusRandomTest, EnginesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RePlusRandomTest, ::testing::Range(0, 300));
+
+// min/vast against the Section 5 grammar oracle on the deleting copier of
+// xtcbench's replus class: `copies` copies of a deleted node's children,
+// each a run of m + blocks, must meet d_out's rule in order. A second
+// shape puts a b1 before the copies in the deleted node's rhs; it merges
+// into the first b1+ run, so the verdict stays, but the rhs is no longer
+// one state repeated. Composing an effect table's children or its rhs in
+// reverse order then flips the verdict of typechecking instances.
+TEST(MinVastDifferentialTest, AgreesWithGrammarOracleOnDeletingCopier) {
+  std::vector<std::pair<int, int>> sizes = {{11, 8}};
+  for (int m = 1; m <= 4; ++m) {
+    for (int copies = 1; copies <= 4; ++copies) sizes.emplace_back(m, copies);
+  }
+  for (const auto& [m, copies] : sizes) {
+    for (int shape = 0; shape < 4; ++shape) {
+      const bool failing = (shape & 1) != 0;
+      const bool lead = (shape & 2) != 0;
+      SCOPED_TRACE(testing::Message() << "m=" << m << " copies=" << copies
+                                      << " failing=" << failing
+                                      << " lead=" << lead);
+      PaperExample ex = RePlusDeletingFamily(m, copies, failing);
+      if (lead) {
+        std::string rhs = "b1";
+        for (int c = 0; c < copies; ++c) rhs += " q";
+        ASSERT_TRUE(ex.transducer->SetRuleFromString("q", "a", rhs).ok());
+      }
+      // The oracle builds its counterexamples with min/vast, so only its
+      // verdict is asked for.
+      TypecheckOptions verdict_only;
+      verdict_only.want_counterexample = false;
+      StatusOr<TypecheckResult> grammar =
+          TypecheckRePlus(*ex.transducer, *ex.din, *ex.dout, verdict_only);
+      ASSERT_TRUE(grammar.ok()) << grammar.status().ToString();
+      StatusOr<TypecheckResult> minvast =
+          TypecheckMinVast(*ex.transducer, *ex.din, *ex.dout);
+      ASSERT_TRUE(minvast.ok()) << minvast.status().ToString();
+      EXPECT_EQ(minvast->typechecks, grammar->typechecks);
+      EXPECT_EQ(grammar->typechecks, !failing || m == 1);
+      if (!minvast->typechecks) {
+        ASSERT_NE(minvast->counterexample, nullptr);
+        EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                         minvast->counterexample));
+      }
+    }
+  }
+}
+
+// Exact min/vast counts. They do not depend on how an effect table is
+// computed: the memo's key set fixes `evaluations` (effect tables plus
+// validity entries) and the order of its misses fixes the budget
+// checkpoints, so a change to either moves these numbers. `configs` is the
+// witness DAG's size.
+struct MinVastPin {
+  const char* name;
+  PaperExample (*make)();
+  bool typechecks;
+  std::uint64_t configs;
+  std::uint64_t evaluations;
+  std::uint64_t budget_checkpoints;
+  std::string counterexample;  // empty where the instance typechecks
+};
+
+// RePlusVastChainFamily(d)'s shrunk witness: t_min of every x_i/y_i pair
+// down to level d, with one extra y_d under the rightmost y_{d-1}.
+std::string VastChainWitness(int d) {
+  std::function<std::string(int, const char*, bool)> node =
+      [&](int i, const char* s, bool rightmost) {
+        std::string out = s + std::to_string(i);
+        if (i == d) return out;
+        out += "(" + node(i + 1, "x", false) + " " +
+               node(i + 1, "y", rightmost);
+        if (rightmost && i + 1 == d) out += " y" + std::to_string(d);
+        return out + ")";
+      };
+  return "r(" + node(1, "x", false) + " " + node(1, "y", true) + ")";
+}
+
+TEST(MinVastCountPinTest, CountsAreExact) {
+  const MinVastPin pins[] = {
+      {"RePlusCopyFamily(1)", [] { return RePlusCopyFamily(1); }, true, 3, 2,
+       2, ""},
+      {"RePlusCopyFamily(4)", [] { return RePlusCopyFamily(4); }, true, 3, 2,
+       2, ""},
+      {"RePlusCopyFamily(16)", [] { return RePlusCopyFamily(16); }, true, 3,
+       2, 2, ""},
+      {"RePlusVastChainFamily(3)", [] { return RePlusVastChainFamily(3); },
+       false, 12, 36, 36, VastChainWitness(3)},
+      {"RePlusVastChainFamily(5)", [] { return RePlusVastChainFamily(5); },
+       false, 20, 94, 94, VastChainWitness(5)},
+      {"RePlusVastChainFamily(7)", [] { return RePlusVastChainFamily(7); },
+       false, 28, 176, 176, VastChainWitness(7)},
+      {"RePlusDeletingFamily(4,2)",
+       [] { return RePlusDeletingFamily(4, 2, false); }, true, 8, 12, 12, ""},
+      {"RePlusDeletingFamily(4,2,failing)",
+       [] { return RePlusDeletingFamily(4, 2, true); }, false, 8, 5, 5,
+       "r(a(b1 b2 b3 b4))"},
+      {"RePlusDeletingFamily(11,8)",
+       [] { return RePlusDeletingFamily(11, 8, false); }, true, 15, 26, 26,
+       ""},
+      {"RePlusDeletingFamily(11,8,failing)",
+       [] { return RePlusDeletingFamily(11, 8, true); }, false, 15, 12, 12,
+       "r(a(b1 b2 b3 b4 b5 b6 b7 b8 b9 b10 b11))"},
+  };
+  for (const MinVastPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    PaperExample ex = pin.make();
+    Budget budget;
+    TypecheckOptions options;
+    options.budget = &budget;
+    StatusOr<TypecheckResult> r =
+        TypecheckMinVast(*ex.transducer, *ex.din, *ex.dout, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->typechecks, pin.typechecks);
+    EXPECT_EQ(r->stats.configs, pin.configs);
+    EXPECT_EQ(r->stats.evaluations, pin.evaluations);
+    EXPECT_EQ(r->stats.budget_checkpoints, pin.budget_checkpoints);
+    if (!pin.counterexample.empty()) {
+      ASSERT_NE(r->counterexample, nullptr);
+      EXPECT_EQ(ToTermString(r->counterexample, *ex.alphabet),
+                pin.counterexample);
+      EXPECT_TRUE(VerifyCounterexample(*ex.transducer, *ex.din, *ex.dout,
+                                       r->counterexample));
+    }
+  }
+}
 
 // Only t_vast is a counterexample here, and it unfolds to (4^{d+1}-1)/3
 // nodes (over the materialization cap at d = 10). Typecheck() must return
