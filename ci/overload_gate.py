@@ -14,16 +14,32 @@ warm-only baseline at 0.5x, then the mixed warm/cold/hostile schedule at
     late stragglers fail the in-queue expiry check — so ok-response p99
     must sit at or under the SLO; the 1.5 factor covers the latency
     histogram's power-of-two bucket midpoints.
- 3. Tiered degradation: the hostile (Theorem 18 inclusion) class was
-    served at the approximate tier at least once, and the overload run
-    shed — i.e. admission degraded before it rejected, rather than only
-    hard-shedding.
+ 3. Hostile requests end cleanly: every request of the hostile (Theorem 18
+    inclusion) class ends as ok, as shed, or as a kResourceExhausted
+    failure (`failed_other` == 0), and none is lost (claim 1 for the
+    class). A failure is a budget trip under the request's own deadline,
+    so the slowest failure (`failed_max_ms`, queue wait plus execution,
+    exact) stays within FAILED_SLACK x the class deadline. And the overload
+    run shed, so it really was overloaded.
+
+    FAILED_SLACK = 3: the deadline is anchored at admission and the engines
+    stop at their next budget checkpoint, so a failure lands past the
+    deadline by the checkpoint stride plus the scheduling delay of two busy
+    workers. Six gate runs on a 4-core Xeon read a slowest failure of
+    146-175 ms against the 100 ms deadline. 3x leaves 1.7x headroom over
+    that for the noisier single-vCPU CI box, and still catches a request
+    that outlives its budget: an ungoverned NfaSchemaFamily(10) request
+    takes about 1.4 s.
 
 Usage: overload_gate.py loadgen.json
 """
 
 import json
 import sys
+
+# Multiple of the hostile class deadline that its slowest failure may take
+# (see claim 3 above).
+FAILED_SLACK = 3
 
 
 def fail(msg):
@@ -67,15 +83,22 @@ def main():
              f"{bound:.3f}ms (1.5 x SLO {slo:.3f}ms)")
 
     hostile = overload["classes"]["hostile"]
-    if hostile["tier_approximate"] < 1:
-        fail("overload: hostile class never served at the approximate tier "
-             "(admission jumped straight to rejection)")
+    if hostile["failed_other"] != 0:
+        fail(f"overload: {hostile['failed_other']} hostile request(s) failed "
+             f"with a status other than resource_exhausted")
+    failed_bound = FAILED_SLACK * hostile["deadline_ms"]
+    if hostile["failed"] > 0 and hostile["failed_max_ms"] > failed_bound:
+        fail(f"overload: slowest hostile failure took "
+             f"{hostile['failed_max_ms']:.3f}ms > {failed_bound:.0f}ms "
+             f"({FAILED_SLACK} x deadline {hostile['deadline_ms']}ms)")
     if overload["shed"] == 0:
         fail("overload run shed nothing — not actually overloaded; "
              "calibration is suspect")
 
     print(f"overload gate: OK (warm p99 {warm['p99_ms']:.3f}ms <= "
-          f"{bound:.3f}ms, hostile approximate={hostile['tier_approximate']}, "
+          f"{bound:.3f}ms, hostile ok/shed/failed={hostile['ok']}/"
+          f"{hostile['shed']}/{hostile['failed']}, slowest failure "
+          f"{hostile['failed_max_ms']:.3f}ms <= {failed_bound:.0f}ms, "
           f"shed={overload['shed']}/{overload['offered']})")
     return 0
 

@@ -21,6 +21,9 @@ set(forbidden
   # Reference engines and generators that the request path never reaches.
   # TypecheckRePlus, the Section 5 grammar engine, is min/vast's test oracle.
   TypecheckRePlus
+  # The sound-but-incomplete checker is the Introduction's contrast
+  # (bench_approximate); the service answers exactly or sheds.
+  TypecheckApproximate
   # Moore DFA minimization is a test oracle (tests/moore_oracle.h); rule
   # DFAs are minimized by Dfa::Minimize.
   Dfa::Minimized

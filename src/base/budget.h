@@ -86,8 +86,7 @@ class Budget {
   std::uint64_t bytes_charged() const { return bytes_charged_; }
   /// Milliseconds since construction / the last set_deadline().
   double elapsed_ms() const;
-  /// The configured deadline, if any (used to derive degraded-mode
-  /// budgets).
+  /// The configured deadline, if any.
   std::optional<std::chrono::milliseconds> deadline() const;
   bool exhausted() const { return cause_ != ExhaustionCause::kNone; }
   ExhaustionCause cause() const { return cause_; }

@@ -19,6 +19,8 @@ const char* CodeName(StatusCode code) {
       return "NOT_FOUND";
     case StatusCode::kResourceExhausted:
       return "RESOURCE_EXHAUSTED";
+    case StatusCode::kInternal:
+      return "INTERNAL";
   }
   return "UNKNOWN";
 }
@@ -52,6 +54,9 @@ Status NotFoundError(std::string message) {
 }
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
+}
+Status InternalError(std::string message) {
+  return Status(StatusCode::kInternal, std::move(message));
 }
 
 }  // namespace xtc

@@ -20,6 +20,7 @@ enum class StatusCode {
   kFailedPrecondition,
   kNotFound,
   kResourceExhausted,
+  kInternal,  ///< a broken internal invariant (a bug), not a bad input
 };
 
 /// A success-or-error value in the style of absl::Status.
@@ -49,6 +50,7 @@ Status UnimplementedError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status NotFoundError(std::string message);
 Status ResourceExhaustedError(std::string message);
+Status InternalError(std::string message);
 
 /// Either a value of type T or an error Status. Minimal analogue of
 /// absl::StatusOr for this project.

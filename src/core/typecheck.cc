@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "src/base/budget.h"
-#include "src/core/approximate.h"
 #include "src/core/minvast.h"
 #include "src/core/nfa_dtd.h"
 #include "src/core/trac.h"
@@ -109,55 +108,17 @@ StatusOr<TypecheckResult> Typecheck(const Transducer& t, const Dtd& din,
 
   const TypecheckRoute route =
       Route(*effective, din, dout, effective_options);
-  StatusOr<TypecheckResult> exact =
+  StatusOr<TypecheckResult> result =
       TypecheckExact(*effective, din, dout, effective_options, route);
-  if (exact.ok()) {
-    exact->stats.route = route;
+  if (result.ok()) {
+    result->stats.route = route;
     // Engines stamp governed runs from their Budget; the front door covers
     // whatever is left (including selector compilation) so service latency
     // telemetry is never zero.
-    if (exact->stats.elapsed_ms == 0) {
-      exact->stats.elapsed_ms = timer.elapsed_ms();
+    if (result->stats.elapsed_ms == 0) {
+      result->stats.elapsed_ms = timer.elapsed_ms();
     }
   }
-  if (exact.ok() || !options.approximate_fallback ||
-      exact.status().code() != StatusCode::kResourceExhausted) {
-    return exact;
-  }
-
-  // Graceful degradation: the exact engine ran out of budget, so re-run the
-  // sound-but-incomplete approximate engine under a fresh budget derived
-  // from the original deadline (step/byte limits are not carried over — the
-  // exact engine already spent them). The whole call is thus bounded by
-  // roughly twice the configured deadline.
-  Budget fallback;
-  Budget* fallback_budget = nullptr;
-  if (options.budget != nullptr) {
-    if (std::optional<std::chrono::milliseconds> deadline =
-            options.budget->deadline()) {
-      fallback.set_deadline(*deadline);
-    }
-    fallback_budget = &fallback;
-  }
-  StatusOr<ApproximateResult> approx =
-      TypecheckApproximate(*effective, din, dout, /*max_dfa_states=*/1 << 14,
-                           fallback_budget);
-  if (!approx.ok()) return exact.status();  // degraded mode also exhausted
-
-  TypecheckResult result;
-  result.arena = std::make_shared<Arena>();
-  result.typechecks = approx->verdict == ApproximateVerdict::kTypechecks;
-  result.approximate = true;
-  result.exact_status = exact.status();
-  result.stats = approx->stats;
-  result.stats.route = route;
-  if (fallback_budget != nullptr) {
-    result.stats.budget_checkpoints = fallback_budget->checkpoints();
-    result.stats.budget_bytes = fallback_budget->bytes_charged();
-    result.stats.exhaustion = fallback_budget->cause();
-  }
-  // Degraded-path latency covers the exhausted exact attempt as well.
-  result.stats.elapsed_ms = timer.elapsed_ms();
   return result;
 }
 

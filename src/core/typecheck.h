@@ -75,18 +75,12 @@ struct TypecheckStats {
 /// Outcome of a typechecking run (Definition 9). When the instance does not
 /// typecheck, `counterexample` is a tree t in L(d_in) with T(t) not in
 /// L(d_out) (Corollary 38), owned by `arena`.
-///
-/// `approximate` is set when the exact engine exhausted its budget and the
-/// answer comes from the degraded path (core/approximate): a `typechecks ==
-/// true` verdict is then still sound, but `typechecks == false` may be a
-/// false alarm and carries no counterexample. `exact_status` preserves the
-/// exact engine's kResourceExhausted error in that case.
 struct TypecheckResult {
   bool typechecks = false;
   std::shared_ptr<Arena> arena;
   Node* counterexample = nullptr;
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool approximate = false;
-  Status exact_status;
   TypecheckStats stats;
 };
 
@@ -98,16 +92,12 @@ struct TypecheckResult {
 /// checkpoints it and the engines unwind with kResourceExhausted as soon as
 /// its deadline/step/byte limit trips. The budget is borrowed, not owned,
 /// and must outlive the Typecheck call (not the result).
-///
-/// `approximate_fallback` turns exhaustion of the *exact* engine into a
-/// degraded answer instead of an error: Typecheck() re-runs the sound
-/// over-approximation (core/approximate) under a fresh budget of the same
-/// deadline and marks the result `approximate`.
 struct TypecheckOptions {
   std::uint64_t max_configs = 1u << 22;
   std::uint64_t max_product_states_per_eval = 1u << 22;
   bool want_counterexample = true;
   Budget* budget = nullptr;
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool approximate_fallback = false;
 
   /// Which engine answers NTA product-emptiness queries in the paths that

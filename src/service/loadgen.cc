@@ -1,5 +1,6 @@
 #include "src/service/loadgen.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -32,9 +33,9 @@ struct ClassState {
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> tier_exact{0};
-  std::atomic<std::uint64_t> tier_approximate{0};
+  std::atomic<std::uint64_t> failed_other{0};
   LatencyHistogram latency;  // server-side end-to-end, ok responses only
+  double failed_max_ms = 0;  // written by the harvest thread only
 };
 
 }  // namespace
@@ -105,14 +106,16 @@ StatusOr<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
       ClassState& state = *classes[next.class_index];
       if (response.status.ok()) {
         state.ok.fetch_add(1, std::memory_order_relaxed);
-        (response.tier == AdmissionTier::kApproximate ? state.tier_approximate
-                                                      : state.tier_exact)
-            .fetch_add(1, std::memory_order_relaxed);
         state.latency.Record(response.queue_ms + response.elapsed_ms);
-      } else if (response.tier == AdmissionTier::kRejected) {
+      } else if (response.shed_reason != ShedReason::kNone) {
         state.shed.fetch_add(1, std::memory_order_relaxed);
       } else {
         state.failed.fetch_add(1, std::memory_order_relaxed);
+        if (response.status.code() != StatusCode::kResourceExhausted) {
+          state.failed_other.fetch_add(1, std::memory_order_relaxed);
+        }
+        state.failed_max_ms = std::max(
+            state.failed_max_ms, response.queue_ms + response.elapsed_ms);
       }
     }
   });
@@ -170,8 +173,9 @@ StatusOr<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
     cls.ok = state->ok.load();
     cls.shed = state->shed.load();
     cls.failed = state->failed.load();
-    cls.tier_exact = state->tier_exact.load();
-    cls.tier_approximate = state->tier_approximate.load();
+    cls.failed_other = state->failed_other.load();
+    cls.failed_max_ms = state->failed_max_ms;
+    cls.deadline_ms = state->spec.deadline_ms;
     cls.p50_ms = state->latency.Percentile(50);
     cls.p99_ms = state->latency.Percentile(99);
     cls.p999_ms = state->latency.Percentile(99.9);

@@ -41,10 +41,11 @@ struct LoadgenOptions {
 struct ClassReport {
   std::uint64_t offered = 0;
   std::uint64_t ok = 0;
-  std::uint64_t shed = 0;    ///< rejected at admission
-  std::uint64_t failed = 0;  ///< admitted but finished with an error
-  std::uint64_t tier_exact = 0;        ///< ok responses served exactly
-  std::uint64_t tier_approximate = 0;  ///< ok responses served degraded
+  std::uint64_t shed = 0;    ///< responses carrying a shed_reason
+  std::uint64_t failed = 0;  ///< ran and finished with an error
+  std::uint64_t failed_other = 0;  ///< failures not kResourceExhausted
+  double failed_max_ms = 0;  ///< exact max queue + execution over failures
+  std::uint64_t deadline_ms = 0;  ///< the class's per-request deadline
   double p50_ms = 0;
   double p99_ms = 0;
   double p999_ms = 0;

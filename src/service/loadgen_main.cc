@@ -1,8 +1,8 @@
 // xtc_loadgen: open-loop load harness for the typechecking service.
 //
 // Replays a mixed warm/cold/hostile schedule at a target offered rate and
-// reports throughput, latency percentiles (p50/p99/p999), and per-tier
-// shed rates as one JSON document.
+// reports throughput, latency percentiles (p50/p99/p999), and per-class
+// shed and failure counts as one JSON document.
 //
 //   gate mode (default) — calibrate the sustainable warm-cache rate, then
 //     run the mix unloaded (0.5x) and overloaded (2x); the CI overload
@@ -57,8 +57,8 @@ int Usage(const char* argv0) {
 // The canonical overload mix (DESIGN.md section 4): mostly warm repeats of
 // one hot key, a cold tail of distinct compiles, and a hostile slice of
 // NfaSchemaFamily instances — the Theorem 18 EXPTIME inclusion shape whose
-// determinization cost dwarfs its deadline, so it must be degraded or
-// shed, never allowed to starve the warm traffic.
+// determinization cost dwarfs its deadline, so it must be shed or fail
+// softly within its deadline, never allowed to starve the warm traffic.
 std::vector<xtc::LoadClass> MixClasses(const Flags& flags) {
   xtc::LoadClass warm;
   warm.name = "warm";
@@ -120,17 +120,19 @@ void PrintReport(const char* key, const xtc::LoadgenReport& report,
   bool first = true;
   for (const auto& [name, cls] : report.classes) {
     std::printf("%s\"%s\": {\"offered\": %llu, \"ok\": %llu, "
-                "\"shed\": %llu, \"failed\": %llu, \"tier_exact\": %llu, "
-                "\"tier_approximate\": %llu, \"p50_ms\": %.3f, "
-                "\"p99_ms\": %.3f, \"p999_ms\": %.3f, \"max_ms\": %.3f}",
+                "\"shed\": %llu, \"failed\": %llu, \"failed_other\": %llu, "
+                "\"failed_max_ms\": %.3f, \"deadline_ms\": %llu, "
+                "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f, "
+                "\"max_ms\": %.3f}",
                 first ? "" : ", ", name.c_str(),
                 static_cast<unsigned long long>(cls.offered),
                 static_cast<unsigned long long>(cls.ok),
                 static_cast<unsigned long long>(cls.shed),
                 static_cast<unsigned long long>(cls.failed),
-                static_cast<unsigned long long>(cls.tier_exact),
-                static_cast<unsigned long long>(cls.tier_approximate),
-                cls.p50_ms, cls.p99_ms, cls.p999_ms, cls.max_ms);
+                static_cast<unsigned long long>(cls.failed_other),
+                cls.failed_max_ms,
+                static_cast<unsigned long long>(cls.deadline_ms), cls.p50_ms,
+                cls.p99_ms, cls.p999_ms, cls.max_ms);
     first = false;
   }
   const xtc::ServiceStats& stats = report.service;

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   auto start = std::chrono::steady_clock::now();
   int ok = 0;
   int errors = 0;
-  unsigned long long tier_exact = 0, tier_approx = 0, rejected = 0;
+  unsigned long long rejected = 0;
   unsigned long long retries_total = 0, backoff_ms_total = 0;
   std::vector<xtc::ServiceRequest> wave = *std::move(batch);
   for (int attempt = 1; !wave.empty(); ++attempt) {
@@ -153,11 +153,7 @@ int main(int argc, char** argv) {
         continue;
       }
       (response.status.ok() ? ok : errors) += 1;
-      switch (response.tier) {
-        case xtc::AdmissionTier::kExact: ++tier_exact; break;
-        case xtc::AdmissionTier::kApproximate: ++tier_approx; break;
-        case xtc::AdmissionTier::kRejected: ++rejected; break;
-      }
+      if (response.shed_reason != xtc::ShedReason::kNone) ++rejected;
     }
     retries_total += next_wave.size();
     if (!next_wave.empty()) {
@@ -178,7 +174,6 @@ int main(int argc, char** argv) {
       "\"cache_hits\": %llu, \"cache_misses\": %llu, "
       "\"cache_snapshot_hits\": %llu, \"cache_lock_waits\": %llu, "
       "\"cache_shards\": %zu, \"shed\": %llu, "
-      "\"tier_exact\": %llu, \"tier_approximate\": %llu, "
       "\"rejected\": %llu, \"retries\": %llu, \"backoff_ms\": %llu}\n",
       flags.family.c_str(), flags.n, flags.count, flags.distinct,
       flags.threads, ok, errors, elapsed_s,
@@ -189,7 +184,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.cache.snapshot_hits),
       static_cast<unsigned long long>(stats.cache.lock_waits),
       stats.cache.shards,
-      static_cast<unsigned long long>(stats.shed), tier_exact, tier_approx,
-      rejected, retries_total, backoff_ms_total);
+      static_cast<unsigned long long>(stats.shed), rejected, retries_total,
+      backoff_ms_total);
   return errors == 0 ? 0 : 1;
 }

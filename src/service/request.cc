@@ -25,6 +25,8 @@ const char* StatusCodeName(StatusCode code) {
       return "not_found";
     case StatusCode::kResourceExhausted:
       return "resource_exhausted";
+    case StatusCode::kInternal:
+      return "internal";
   }
   return "unknown";
 }
@@ -137,18 +139,6 @@ double RoundMs(double ms) { return std::round(ms * 1000.0) / 1000.0; }
 
 }  // namespace
 
-const char* AdmissionTierName(AdmissionTier tier) {
-  switch (tier) {
-    case AdmissionTier::kExact:
-      return "exact";
-    case AdmissionTier::kApproximate:
-      return "approximate";
-    case AdmissionTier::kRejected:
-      return "rejected";
-  }
-  return "unknown";
-}
-
 const char* ShedReasonName(ShedReason reason) {
   switch (reason) {
     case ShedReason::kNone:
@@ -243,12 +233,6 @@ StatusOr<ServiceRequest> ParseServiceRequest(std::string_view json_line) {
       return FieldError("want_counterexample", "must be a bool");
     }
     request.want_counterexample = want->AsBool();
-  }
-  if (const JsonValue* approx = doc.Find("approximate_fallback")) {
-    if (approx->kind() != JsonValue::Kind::kBool) {
-      return FieldError("approximate_fallback", "must be a bool");
-    }
-    request.approximate_fallback = approx->AsBool();
   }
   if (const JsonValue* engine = doc.Find("engine")) {
     if (engine->kind() != JsonValue::Kind::kString) {
@@ -390,9 +374,6 @@ std::string ServiceRequestToJson(const ServiceRequest& request) {
   if (!request.want_counterexample) {
     o.Set("want_counterexample", JsonValue::Bool(false));
   }
-  if (request.approximate_fallback) {
-    o.Set("approximate_fallback", JsonValue::Bool(true));
-  }
   if (request.engine == TypecheckEngine::kDelRelab) {
     o.Set("engine", JsonValue::Str("delrelab"));
   }
@@ -410,7 +391,6 @@ std::string ServiceResponse::ToJsonLine() const {
     switch (op) {
       case ServiceOp::kTypecheck:
         o.Set("typechecks", JsonValue::Bool(typechecks));
-        if (approximate) o.Set("approximate", JsonValue::Bool(true));
         if (!counterexample.empty()) {
           o.Set("counterexample", JsonValue::Str(counterexample));
         }
@@ -427,7 +407,6 @@ std::string ServiceResponse::ToJsonLine() const {
         break;
     }
   }
-  o.Set("tier", JsonValue::Str(AdmissionTierName(tier)));
   if (shed_reason != ShedReason::kNone) {
     o.Set("shed_reason", JsonValue::Str(ShedReasonName(shed_reason)));
   }

@@ -58,21 +58,6 @@ enum class DocFormat {
   kXml,
 };
 
-/// The admission tier a request was served at (wire field `tier`).
-/// Admission control degrades requests one tier at a time as load rises
-/// (DESIGN.md §4): `kExact` runs the full engine dispatch, `kApproximate`
-/// runs only the sound-but-incomplete approximate engine (bounded cost; a
-/// `typechecks == false` answer may be a false alarm and is flagged
-/// `approximate`), `kRejected` never ran — the response carries a
-/// `retry_after_ms` hint instead.
-enum class AdmissionTier {
-  kExact,
-  kApproximate,
-  kRejected,
-};
-
-const char* AdmissionTierName(AdmissionTier tier);
-
 /// Why a request was shed or cancelled without (fully) executing; the
 /// service stats break shed totals down by reason.
 enum class ShedReason {
@@ -124,6 +109,7 @@ struct ServiceRequest {
   /// stats can distinguish fresh traffic from retries.
   std::uint64_t attempt = 0;
   bool want_counterexample = true;
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool approximate_fallback = false;
   TypecheckEngine engine = TypecheckEngine::kAuto;
   /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
@@ -161,6 +147,7 @@ struct ServiceResponse {
   ServiceOp op = ServiceOp::kTypecheck;
   Status status;
   bool typechecks = false;
+  /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool approximate = false;
   bool valid = false;           ///< validate
   std::string output;           ///< transform result (term syntax)
@@ -170,8 +157,8 @@ struct ServiceResponse {
   double queue_ms = 0;          ///< admission-to-execution wait
   std::uint64_t cache_hits = 0;      ///< artifact lookups served from cache
   std::uint64_t cache_misses = 0;    ///< artifact compiles this request paid
-  AdmissionTier tier = AdmissionTier::kExact;  ///< tier served (or rejected)
-  ShedReason shed_reason = ShedReason::kNone;  ///< why, when tier==kRejected
+  /// Why the request was shed without (fully) executing; kNone when it ran.
+  ShedReason shed_reason = ShedReason::kNone;
   /// Backoff hint on shed responses: > 0 means "retryable, wait about this
   /// long". Engine/budget failures leave it 0 — retrying those would burn
   /// the same budget again.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/base/arena.h"
-#include "src/core/approximate.h"
 #include "src/core/relab.h"
 #include "src/core/typecheck.h"
 #include "src/service/stream.h"
@@ -122,7 +121,6 @@ ServiceResponse TypecheckService::ShedResponse(const ServiceRequest& request,
   response.id = request.id;
   response.op = request.op;
   response.attempt = request.attempt;
-  response.tier = AdmissionTier::kRejected;
   response.shed_reason = reason;
   response.retry_after_ms = retry_after_ms;
   switch (reason) {
@@ -182,10 +180,9 @@ std::future<ServiceResponse> TypecheckService::Submit(ServiceRequest request) {
       reason = ShedReason::kQueueFull;
       retry_hint = hint;
     } else {
-      // Tiered admission: the load factor folds together how full the
-      // queue is and how long the new request would wait relative to its
-      // deadline (queue depth x smoothed per-request cost over the worker
-      // lanes). One request degrades before the service does.
+      // Admission: the load factor folds together how full the queue is
+      // and how long the new request would wait relative to its deadline
+      // (queue depth x smoothed per-request cost over the worker lanes).
       double depth_load =
           options_.queue_capacity > 0
               ? static_cast<double>(queue_.size()) /
@@ -209,14 +206,7 @@ std::future<ServiceResponse> TypecheckService::Submit(ServiceRequest request) {
         reason = ShedReason::kOverload;
         retry_hint = hint;
       } else {
-        job.tier = (load >= options_.degrade_load &&
-                    job.request.op == ServiceOp::kTypecheck)
-                       ? AdmissionTier::kApproximate
-                       : AdmissionTier::kExact;
         job.admit_time = std::chrono::steady_clock::now();
-        (job.tier == AdmissionTier::kApproximate ? tier_approximate_
-                                                 : tier_exact_)
-            .fetch_add(1, std::memory_order_relaxed);
         queue_.push_back(std::move(job));
         submitted_.fetch_add(1, std::memory_order_relaxed);
         queue_cv_.notify_one();
@@ -233,9 +223,7 @@ std::future<ServiceResponse> TypecheckService::Submit(ServiceRequest request) {
 
 ServiceResponse TypecheckService::Process(const ServiceRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  tier_exact_.fetch_add(1, std::memory_order_relaxed);
-  return Execute(request, AdmissionTier::kExact,
-                 std::chrono::steady_clock::now());
+  return Execute(request, std::chrono::steady_clock::now());
 }
 
 void TypecheckService::WorkerLoop() {
@@ -249,7 +237,7 @@ void TypecheckService::WorkerLoop() {
       queue_.pop_front();
       ++in_flight_;
     }
-    job.promise.set_value(Execute(job.request, job.tier, job.admit_time));
+    job.promise.set_value(Execute(job.request, job.admit_time));
     {
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
@@ -293,7 +281,6 @@ DrainReport TypecheckService::Stop(std::chrono::milliseconds drain_deadline) {
     response.id = job.request.id;
     response.op = job.request.op;
     response.attempt = job.request.attempt;
-    response.tier = AdmissionTier::kRejected;
     response.shed_reason = ShedReason::kStopping;
     response.status = ResourceExhaustedError("service shutting down");
     job.promise.set_value(std::move(response));
@@ -305,7 +292,7 @@ DrainReport TypecheckService::Stop(std::chrono::milliseconds drain_deadline) {
 }
 
 ServiceResponse TypecheckService::Execute(
-    const ServiceRequest& request, AdmissionTier tier,
+    const ServiceRequest& request,
     std::chrono::steady_clock::time_point admit_time) {
   if (IsStreamOp(request.op)) {
     // Inline-doc stream requests (queued or Process()ed) run the same
@@ -316,14 +303,13 @@ ServiceResponse TypecheckService::Execute(
       response.id = request.id;
       response.op = request.op;
       response.attempt = request.attempt;
-      response.tier = tier;
       response.status = InvalidArgumentError(
           "chunked stream requests need a chunk transport (xtcd) or "
           "OpenStream; submit an inline 'doc' instead");
       failed_.fetch_add(1, std::memory_order_relaxed);
       return response;
     }
-    StreamSession session(this, request, tier, admit_time);
+    StreamSession session(this, request, admit_time);
     session.Push(request.doc);
     return session.Finish();
   }
@@ -332,7 +318,6 @@ ServiceResponse TypecheckService::Execute(
   response.id = request.id;
   response.op = request.op;
   response.attempt = request.attempt;
-  response.tier = tier;
   response.queue_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - admit_time)
                           .count();
@@ -439,26 +424,9 @@ ServiceResponse TypecheckService::Execute(
             ResourceExhaustedError("injected fault at 'cache-adopt'"));
       }
 
-      if (tier == AdmissionTier::kApproximate) {
-        // Degraded tier: only the sound, bounded-cost approximate engine
-        // runs. A `typechecks == true` verdict is still definitive; a
-        // false verdict may be a false alarm and is flagged approximate
-        // (the same contract as the PR 1 budget fallback).
-        StatusOr<ApproximateResult> approx = TypecheckApproximate(
-            *(*td)->selector_free, *(*din)->dtd, *(*dout)->dtd,
-            options_.approximate_max_dfa_states, budget_ptr);
-        if (!approx.ok()) return finish(approx.status());
-        response.typechecks =
-            approx->verdict == ApproximateVerdict::kTypechecks;
-        response.approximate = true;
-        response.engine_ms = approx->stats.elapsed_ms;
-        return finish(Status::Ok());
-      }
-
       TypecheckOptions options;
       options.budget = budget_ptr;
       options.want_counterexample = request.want_counterexample;
-      options.approximate_fallback = request.approximate_fallback;
       options.widths = &(*td)->widths;
       options.din_determinized = (*din)->determinized.get();
       options.dout_determinized = (*dout)->determinized.get();
@@ -489,7 +457,6 @@ ServiceResponse TypecheckService::Execute(
             lazy_key, std::make_shared<LazySnapshot>(std::move(lazy_export)));
       }
       response.typechecks = result->typechecks;
-      response.approximate = result->approximate;
       response.engine_ms = result->stats.elapsed_ms;
       if (result->counterexample != nullptr) {
         response.counterexample =
@@ -556,8 +523,6 @@ ServiceStats TypecheckService::stats() const {
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.failed = failed_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.tier_exact = tier_exact_.load(std::memory_order_relaxed);
-  stats.tier_approximate = tier_approximate_.load(std::memory_order_relaxed);
   stats.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
   stats.shed_overload = shed_overload_.load(std::memory_order_relaxed);
   stats.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);

@@ -91,8 +91,6 @@ struct ServiceStats {
   std::size_t queue_depth = 0;  ///< instantaneous
 
   // Admission-control telemetry (DESIGN.md §4, overload semantics).
-  std::uint64_t tier_exact = 0;        ///< admitted at the exact tier
-  std::uint64_t tier_approximate = 0;  ///< admitted degraded
   std::uint64_t shed_queue_full = 0;   ///< shed: bounded queue at capacity
   std::uint64_t shed_overload = 0;     ///< shed: load factor past reject
   std::uint64_t shed_deadline = 0;     ///< shed: predicted deadline miss
@@ -125,11 +123,11 @@ struct DrainReport {
 /// whose deadline is anchored at *admission*, so queue wait counts against
 /// the client's patience. Compiled artifacts are immutable and shared.
 ///
-/// Overload degrades through tiers instead of failing hard: admission
-/// computes a load factor from queue depth and deadline pressure (queue
-/// length x EWMA of recent per-request cost vs. the request's deadline);
-/// past `degrade_load` typecheck requests run only the sound approximate
-/// engine (bounded cost), past `reject_load` requests are shed with a
+/// Overload sheds instead of queueing without bound: admission computes a
+/// load factor from queue depth and deadline pressure (queue length x EWMA
+/// of recent per-request cost vs. the request's deadline). Below
+/// `reject_load` a request is admitted and gets an exact answer (or fails
+/// softly under its own budget); at or past it the request is shed with a
 /// `retry_after_ms` hint. Sheds resolve the future immediately with
 /// kResourceExhausted — never unbounded queueing, never a dropped promise.
 ///
@@ -147,19 +145,13 @@ class TypecheckService {
     /// Deadline for requests that do not carry one (0 = ungoverned).
     std::uint64_t default_deadline_ms = 0;
 
-    /// Load factor at which typecheck requests degrade to the
-    /// approximate-only tier. Load is max(queue_depth/capacity, predicted
-    /// wait / request deadline).
-    double degrade_load = 0.75;
-    /// Load factor at which requests are shed outright.
-    double reject_load = 0.95;
+    /// Load factor at which requests are shed. Load is
+    /// max(queue_depth/capacity, predicted wait / request deadline).
+    double reject_load = 0.75;
     /// EWMA smoothing for per-request cost (higher = more reactive).
     double cost_ewma_alpha = 0.2;
     /// EWMA seed before any request has completed.
     double cost_prior_ms = 1.0;
-    /// DFA state cap for the approximate-tier engine (bounds its cost on
-    /// hostile schemas).
-    int approximate_max_dfa_states = 1 << 14;
 
     /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
     int max_request_threads = 8;
@@ -192,13 +184,13 @@ class TypecheckService {
   TypecheckService& operator=(const TypecheckService&) = delete;
 
   /// Enqueues a request. The future is always valid: a shed request
-  /// resolves immediately with kResourceExhausted, tier `rejected`, a
-  /// shed_reason, and (when retrying could help) a retry_after_ms hint.
+  /// resolves immediately with kResourceExhausted, a shed_reason, and (when
+  /// retrying could help) a retry_after_ms hint.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
   /// Executes a request synchronously on the calling thread, bypassing the
   /// queue and admission control (the xtc_replay emit path and unit
-  /// tests). Always runs at the exact tier.
+  /// tests).
   ServiceResponse Process(const ServiceRequest& request);
 
   /// Opens a streaming session for a validate_stream / transform_stream
@@ -230,12 +222,11 @@ class TypecheckService {
   struct Job {
     ServiceRequest request;
     std::promise<ServiceResponse> promise;
-    AdmissionTier tier = AdmissionTier::kExact;
     std::chrono::steady_clock::time_point admit_time;
   };
 
   void WorkerLoop();
-  ServiceResponse Execute(const ServiceRequest& request, AdmissionTier tier,
+  ServiceResponse Execute(const ServiceRequest& request,
                           std::chrono::steady_clock::time_point admit_time);
   ServiceResponse ShedResponse(const ServiceRequest& request,
                                ShedReason reason,
@@ -268,8 +259,6 @@ class TypecheckService {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> tier_exact_{0};
-  std::atomic<std::uint64_t> tier_approximate_{0};
   std::atomic<std::uint64_t> shed_queue_full_{0};
   std::atomic<std::uint64_t> shed_overload_{0};
   std::atomic<std::uint64_t> shed_deadline_{0};

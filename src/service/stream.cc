@@ -21,12 +21,11 @@ StreamSession::StreamSession(TypecheckService* service,
 
 StreamSession::StreamSession(
     TypecheckService* service, const ServiceRequest& request,
-    AdmissionTier tier, std::chrono::steady_clock::time_point admit_time)
+    std::chrono::steady_clock::time_point admit_time)
     : service_(service) {
   response_.id = request.id;
   response_.op = request.op;
   response_.attempt = request.attempt;
-  response_.tier = tier;
   response_.queue_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - admit_time)
                            .count();
@@ -243,11 +242,10 @@ std::unique_ptr<StreamSession> TypecheckService::OpenStream(
   }
   // Streams bypass the worker queue (their bytes arrive interactively on
   // the caller's thread), so admission is just the drain gate plus the
-  // open-session cap; they still count as exact-tier traffic in the stats.
+  // open-session cap.
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  tier_exact_.fetch_add(1, std::memory_order_relaxed);
   auto session = std::unique_ptr<StreamSession>(new StreamSession(
-      this, request, AdmissionTier::kExact, std::chrono::steady_clock::now()));
+      this, request, std::chrono::steady_clock::now()));
   session->holds_stream_slot_ = true;
   return session;
 }

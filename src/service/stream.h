@@ -62,7 +62,6 @@ class StreamSession {
   friend class TypecheckService;
 
   StreamSession(TypecheckService* service, const ServiceRequest& request,
-                AdmissionTier tier,
                 std::chrono::steady_clock::time_point admit_time);
   /// A session that was shed (or otherwise failed) before setup: Push is a
   /// no-op, Finish returns `response` as-is. `record` controls whether

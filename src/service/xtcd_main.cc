@@ -31,8 +31,7 @@ struct Flags {
   std::size_t cache_shards = 8;   // compile-cache hash partitions
   std::size_t max_streams = 64;   // open chunked-stream session cap (0 = off)
   std::uint64_t drain_ms = 5000;  // grace period for queued work on signal
-  int degrade_pct = 75;           // load %: typechecks go approximate-only
-  int reject_pct = 95;            // load %: requests are shed
+  int reject_pct = 75;            // load %: requests are shed
   bool print_stats = false;
 };
 
@@ -67,8 +66,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--threads=N] [--queue=N] [--deadline-ms=N]\n"
                "          [--cache-mb=N] [--cache-shards=N] [--max-streams=N]\n"
-               "          [--drain-ms=N] [--degrade-pct=N]\n"
-               "          [--reject-pct=N] [--stats]\n"
+               "          [--drain-ms=N] [--reject-pct=N] [--stats]\n"
                "Reads NDJSON requests from stdin, writes NDJSON responses to "
                "stdout.\n"
                "SIGTERM/SIGINT drain gracefully: queued work gets --drain-ms "
@@ -97,8 +95,6 @@ int main(int argc, char** argv) {
       flags.max_streams = static_cast<std::size_t>(v);
     } else if (ParseFlag(argv[i], "--drain-ms", &v)) {
       flags.drain_ms = static_cast<std::uint64_t>(v);
-    } else if (ParseFlag(argv[i], "--degrade-pct", &v)) {
-      flags.degrade_pct = static_cast<int>(v);
     } else if (ParseFlag(argv[i], "--reject-pct", &v)) {
       flags.reject_pct = static_cast<int>(v);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -115,7 +111,6 @@ int main(int argc, char** argv) {
   options.num_threads = flags.threads;
   options.queue_capacity = flags.queue;
   options.default_deadline_ms = flags.deadline_ms;
-  options.degrade_load = flags.degrade_pct / 100.0;
   options.reject_load = flags.reject_pct / 100.0;
   options.cache.max_bytes = flags.cache_mb << 20;
   options.cache.shards = flags.cache_shards;
@@ -243,7 +238,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "xtcd: %s drain=%s drained=%llu cancelled=%llu "
                  "submitted=%llu completed=%llu failed=%llu shed=%llu "
-                 "tier_exact=%llu tier_approximate=%llu "
                  "shed_queue_full=%llu shed_overload=%llu shed_deadline=%llu "
                  "shed_stopping=%llu shed_stream_limit=%llu "
                  "expired_in_queue=%llu "
@@ -259,8 +253,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.completed),
                  static_cast<unsigned long long>(stats.failed),
                  static_cast<unsigned long long>(stats.shed),
-                 static_cast<unsigned long long>(stats.tier_exact),
-                 static_cast<unsigned long long>(stats.tier_approximate),
                  static_cast<unsigned long long>(stats.shed_queue_full),
                  static_cast<unsigned long long>(stats.shed_overload),
                  static_cast<unsigned long long>(stats.shed_deadline),

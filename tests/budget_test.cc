@@ -152,7 +152,6 @@ TEST(BudgetTest, TypecheckFillsBudgetTelemetry) {
       Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->typechecks);
-  EXPECT_FALSE(r->approximate);
   EXPECT_NE(r->counterexample, nullptr);
   EXPECT_GT(r->stats.budget_checkpoints, 0u);
   EXPECT_GT(r->stats.budget_bytes, 0u);
@@ -169,20 +168,6 @@ TEST(BudgetTest, StarvedExactEngineReturnsResourceExhausted) {
       Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(BudgetTest, FallbackDegradesToApproximateVerdict) {
-  PaperExample ex = MakeBookExample(/*with_summary=*/true);
-  TypecheckOptions opts;
-  Budget b = Budget::WithMaxSteps(3);  // starves the exact engine
-  opts.budget = &b;
-  opts.approximate_fallback = true;
-  StatusOr<TypecheckResult> r =
-      Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->approximate);
-  EXPECT_EQ(r->exact_status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(r->counterexample, nullptr);  // degraded mode never has one
 }
 
 // Theorem 18 acceptance: a hard instance (DFA intersection emptiness

@@ -4,8 +4,8 @@
 // completes without the fault firing (plus a geometric tail to hit deep
 // points without quadratic cost). Each injected failure must surface as a
 // clean kResourceExhausted — or be absorbed by a documented best-effort
-// path (dropped counterexamples, the approximate fallback) — and never
-// crash, abort, or leak (the sanitizer preset runs this test).
+// path (dropped counterexamples) — and never crash, abort, or leak (the
+// sanitizer preset runs this test).
 
 #include <gtest/gtest.h>
 
@@ -280,35 +280,25 @@ TEST(FaultInjectionTest, LazyInjectionLeavesNoPartialSnapshotBehind) {
   EXPECT_GT(injected, 0) << "no checkpoint was ever reached";
 }
 
-// The front door with approximate_fallback enabled: an injected exhaustion
-// in the exact engine must be absorbed into a degraded (approximate) result
-// — the caller sees OK plus telemetry, never a crash.
-TEST(FaultInjectionTest, FrontDoorFallbackAbsorbsInjectedFaults) {
+// The front door: every injected checkpoint of Typecheck() ends in OK or
+// kResourceExhausted. An OK run keeps the exact verdict (a budget trip may
+// only drop the counterexample), so nothing is ever answered approximately.
+TEST(FaultInjectionTest, FrontDoorSweepReturnsOkOrResourceExhausted) {
   PaperExample ex = MakeBookExample(/*with_summary=*/true);
-  int degraded = 0;
-  for (std::uint64_t n = 1; n <= 60; ++n) {
-    Budget b;
-    b.set_fail_at_checkpoint(n);
+  StatusOr<TypecheckResult> truth =
+      Typecheck(*ex.transducer, *ex.din, *ex.dout);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  const int points = SweepInjection("front-door", [&](Budget* b) {
     TypecheckOptions opts;
-    opts.budget = &b;
-    opts.approximate_fallback = true;
+    opts.budget = b;
     StatusOr<TypecheckResult> r =
         Typecheck(*ex.transducer, *ex.din, *ex.dout, opts);
-    if (b.cause() != ExhaustionCause::kInjected) {
-      ASSERT_TRUE(r.ok());
-      EXPECT_FALSE(r->approximate);
-      break;
+    if (r.ok()) {
+      EXPECT_EQ(r->typechecks, truth->typechecks);
     }
-    ASSERT_TRUE(r.ok()) << "n=" << n << ": " << r.status().ToString();
-    if (r->approximate) {
-      ++degraded;
-      EXPECT_EQ(r->exact_status.code(), StatusCode::kResourceExhausted);
-      // Degraded runs never fabricate a counterexample: a false verdict may
-      // be a false alarm (the approximation loses copy correlation).
-      EXPECT_EQ(r->counterexample, nullptr);
-    }
-  }
-  EXPECT_GT(degraded, 0) << "no injection ever reached the fallback path";
+    return r.status();
+  });
+  EXPECT_GT(points, 0) << "no injection ever reached the front door";
 }
 
 // The streaming pipeline (src/stream/): one budget governs schema compile,

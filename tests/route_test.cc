@@ -145,17 +145,6 @@ TEST(RouteTest, UnboundedDpwOverNonRePlusSchemasHasNoEngine) {
   ASSERT_TRUE(nfa.transducer->SetRuleFromString("q", "a", "q q").ok());
   EXPECT_EQ(Route(*nfa.transducer, *nfa.din, *nfa.dout),
             (TypecheckRoute{Table1Cell::kNfa, RouteEngine::kUnimplemented}));
-
-  // kUnimplemented is an answer, not an exhausted budget: the approximate
-  // fallback does not apply to either cell.
-  TypecheckOptions fallback;
-  fallback.approximate_fallback = true;
-  for (const PaperExample* e : {&ex, &nfa}) {
-    StatusOr<TypecheckResult> f =
-        Typecheck(*e->transducer, *e->din, *e->dout, fallback);
-    ASSERT_FALSE(f.ok());
-    EXPECT_EQ(f.status().code(), StatusCode::kUnimplemented);
-  }
 }
 
 TEST(RouteTest, CallerWidthsAreTrustedNotRecomputed) {

@@ -1,5 +1,5 @@
-// Overload and failure semantics of the service (DESIGN.md §4): tiered
-// admission control, graceful drain, deadline-pressure shedding, the
+// Overload and failure semantics of the service (DESIGN.md §4): admission
+// control, graceful drain, deadline-pressure shedding, the
 // deterministic client backoff, and the service-level fault-injection
 // sweep. Runs under tsan in CI (name matches the Service regex) and the
 // asan fault sweep (ServiceFaultInjectionTest matches FaultInjection).
@@ -74,7 +74,6 @@ TEST(ServiceOverloadTest, DrainDeadlineCancelsUnstartedWork) {
   for (std::future<ServiceResponse>& future : futures) {
     ServiceResponse response = future.get();
     EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(response.tier, AdmissionTier::kRejected);
     EXPECT_EQ(response.shed_reason, ShedReason::kStopping);
   }
   ServiceStats stats = service.stats();
@@ -132,8 +131,7 @@ TEST(ServiceOverloadTest, SubmitVsStopRaceResolvesEveryFuture) {
         ++ok;
       } else {
         ASSERT_EQ(response.status.code(), StatusCode::kResourceExhausted);
-        (response.shed_reason == ShedReason::kStopping &&
-                 response.tier == AdmissionTier::kRejected
+        (response.shed_reason == ShedReason::kStopping
              ? shed
              : cancelled_or_failed) += 1;
       }
@@ -147,33 +145,38 @@ TEST(ServiceOverloadTest, SubmitVsStopRaceResolvesEveryFuture) {
   EXPECT_EQ(stats.drain_cancelled, report.cancelled);
 }
 
-TEST(ServiceOverloadTest, TierDegradesWithQueueDepth) {
+TEST(ServiceOverloadTest, AdmitsExactlyUntilRejectLoad) {
   TypecheckService::Options options;
   options.num_threads = 0;  // deterministic: the queue only fills
   options.queue_capacity = 8;
   TypecheckService service(options);
+  ASSERT_EQ(options.reject_load, 0.75);
 
   std::vector<ServiceRequest> batch = SmallBatch(9);
   std::vector<std::future<ServiceResponse>> futures;
   for (ServiceRequest& request : batch) {
     futures.push_back(service.Submit(std::move(request)));
   }
-  // Submissions 1-6 see depth 0..5 (load < 0.75): exact. Submissions 7-8
-  // see depth 6, 7 (load 0.75, 0.875): degraded. Submission 9 finds the
-  // queue full: shed.
+  // Submissions 1-6 see depth 0..5 (load < 0.75) and are admitted; an
+  // admitted request runs the exact engines. Submissions 7-9 see depth 6
+  // (load 0.75) and are shed.
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.tier_exact, 6u);
-  EXPECT_EQ(stats.tier_approximate, 2u);
-  EXPECT_EQ(stats.shed_queue_full, 1u);
-  ServiceResponse last = futures.back().get();
-  EXPECT_EQ(last.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(last.shed_reason, ShedReason::kQueueFull);
-  EXPECT_GT(last.retry_after_ms, 0u);  // admission sheds are retryable
-  std::string line = last.ToJsonLine();
-  EXPECT_NE(line.find("\"tier\":\"rejected\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"shed_reason\":\"queue_full\""), std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"retry_after_ms\""), std::string::npos) << line;
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.queue_depth, 6u);
+  EXPECT_EQ(stats.shed, 3u);
+  EXPECT_EQ(stats.shed_overload, 3u);
+  EXPECT_EQ(stats.shed_queue_full, 0u);
+  for (std::size_t i = 6; i < futures.size(); ++i) {
+    ServiceResponse shed = futures[i].get();
+    EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(shed.shed_reason, ShedReason::kOverload);
+    EXPECT_GT(shed.retry_after_ms, 0u);  // admission sheds are retryable
+    std::string line = shed.ToJsonLine();
+    EXPECT_EQ(line.find("\"tier\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"shed_reason\":\"overload\""), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"retry_after_ms\""), std::string::npos) << line;
+  }
 }
 
 TEST(ServiceOverloadTest, DeadlinePressureShedsBeforeQueueing) {
@@ -193,31 +196,9 @@ TEST(ServiceOverloadTest, DeadlinePressureShedsBeforeQueueing) {
   ServiceResponse response = service.Submit(urgent).get();
   EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(response.shed_reason, ShedReason::kDeadline);
-  EXPECT_EQ(response.tier, AdmissionTier::kRejected);
   EXPECT_GT(response.retry_after_ms, 0u);
   EXPECT_EQ(service.stats().shed_deadline, 1u);
   hostile.wait();  // hostile runs to completion under its own budget
-}
-
-TEST(ServiceOverloadTest, ValidateNeverDegradesToApproximate) {
-  // Only typecheck has an approximate engine; other ops stay exact even
-  // past the degrade threshold.
-  TypecheckService::Options options;
-  options.num_threads = 0;
-  options.queue_capacity = 4;
-  TypecheckService service(options);
-  ServiceRequest validate;
-  validate.op = ServiceOp::kValidate;
-  validate.schema.start = "a";
-  validate.schema.rules = {{"a", ""}};
-  validate.tree = "a";
-  for (int i = 0; i < 4; ++i) {
-    validate.id = i + 1;
-    service.Submit(validate);
-  }
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.tier_exact, 4u);  // depth 3/4 = 0.75 would degrade typecheck
-  EXPECT_EQ(stats.tier_approximate, 0u);
 }
 
 TEST(ServiceOverloadTest, RetryBackoffIsDeterministic) {

@@ -240,7 +240,9 @@ TEST_F(ServiceTest, SubmitDeliversConcurrently) {
 TEST_F(ServiceTest, ShedsWhenQueueIsFull) {
   TypecheckService::Options options;
   options.num_threads = 0;  // no workers: the queue can only fill
-  options.queue_capacity = 4;
+  // Three slots fill below reject_load (depth 2/3 < 0.75), so the fourth
+  // submission finds the queue full rather than overloaded.
+  options.queue_capacity = 3;
   TypecheckService service(options);
   StatusOr<ServiceRequest> request =
       TypecheckRequestFromExample(FilterFamily(2));
@@ -251,17 +253,19 @@ TEST_F(ServiceTest, ShedsWhenQueueIsFull) {
     copy.id = i + 1;
     futures.push_back(service.Submit(std::move(copy)));
   }
-  // Requests 5 and 6 overflowed the 4-slot queue: their futures are already
+  // Requests 4-6 overflowed the 3-slot queue: their futures are already
   // resolved with kResourceExhausted.
-  for (int i = 4; i < 6; ++i) {
+  for (int i = 3; i < 6; ++i) {
     ServiceResponse response = futures[static_cast<std::size_t>(i)].get();
     EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(response.shed_reason, ShedReason::kQueueFull);
     EXPECT_EQ(response.id, i + 1);
   }
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 2u);
-  EXPECT_EQ(stats.submitted, 4u);
-  EXPECT_EQ(stats.queue_depth, 4u);
+  EXPECT_EQ(stats.shed, 3u);
+  EXPECT_EQ(stats.shed_queue_full, 3u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.queue_depth, 3u);
   // Destruction fails the still-queued requests cleanly (checked by the
   // futures resolving at all — gtest would hang otherwise).
 }
@@ -411,7 +415,7 @@ TEST_F(ServiceTest, ValidateStreamInlineDoc) {
   ServiceResponse response = service.Process(request);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_TRUE(response.valid);
-  EXPECT_EQ(response.tier, AdmissionTier::kExact);
+  EXPECT_EQ(response.shed_reason, ShedReason::kNone);
 
   // Schema-invalid (item below item) and unknown-label docs: ok status,
   // valid false — verdict parity with the DOM validate op.
