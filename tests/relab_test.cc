@@ -385,5 +385,64 @@ TEST(RelabDifferentialTest, CoprimeCounterStaysPolynomial) {
   EXPECT_TRUE(r->typechecks);
 }
 
+
+// Count pins for Theorem 20: the exact verdict and the lazy product the
+// engine explores (nta_states, nta_size) and the budget checkpoints it
+// passes on fixed families, three sizes each. Direct engine calls leave
+// TypecheckStats' rule-DFA sizes unset, so the rows pin
+// Dtd::RuleDfaStates() of the two schemas instead: the minimal, trimmed
+// rule DFAs that ComplementedDfaDtd reads. Any change to those automata or
+// to the product's exploration moves these numbers.
+struct RelabCountPin {
+  const char* name;
+  PaperExample (*make)();
+  bool typechecks;
+  std::uint64_t nta_states;
+  std::uint64_t nta_size;
+  std::uint64_t budget_checkpoints;
+  int din_rule_states;
+  int dout_rule_states;
+};
+
+TEST(RelabCountPinTest, Theorem20CountsAreExact) {
+  const RelabCountPin pins[] = {
+      {"RelabFamily(2)", [] { return RelabFamily(2); }, true, 54, 8140, 8019,
+       3, 3},
+      {"RelabFamily(6)", [] { return RelabFamily(6); }, true, 86, 44196,
+       43715, 7, 7},
+      {"RelabFamily(9)", [] { return RelabFamily(9); }, true, 110, 105006,
+       104087, 10, 10},
+      // NFA rules are not counted by RuleDfaStates().
+      {"NfaSchemaFamily(3)", [] { return NfaSchemaFamily(3); }, true, 6, 182,
+       183, 0, 0},
+      {"NfaSchemaFamily(5)", [] { return NfaSchemaFamily(5); }, true, 6, 826,
+       735, 0, 0},
+      {"NfaSchemaFamily(8)", [] { return NfaSchemaFamily(8); }, true, 6, 9002,
+       7743, 0, 0},
+      {"CoprimeCounterFamily(2)", [] { return CoprimeCounterFamily(2); },
+       true, 188, 100737, 100269, 3, 6},
+      {"CoprimeCounterFamily(3)", [] { return CoprimeCounterFamily(3); },
+       true, 380, 582930, 581490, 3, 11},
+      {"CoprimeCounterFamily(4)", [] { return CoprimeCounterFamily(4); },
+       true, 708, 2734613, 2730875, 3, 18},
+  };
+  for (const RelabCountPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    PaperExample ex = pin.make();
+    Budget budget;
+    TypecheckOptions options;
+    options.budget = &budget;
+    StatusOr<TypecheckResult> r =
+        TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->typechecks, pin.typechecks);
+    EXPECT_EQ(r->stats.nta_states, pin.nta_states);
+    EXPECT_EQ(r->stats.nta_size, pin.nta_size);
+    EXPECT_EQ(r->stats.budget_checkpoints, pin.budget_checkpoints);
+    EXPECT_EQ(ex.din->RuleDfaStates(), pin.din_rule_states);
+    EXPECT_EQ(ex.dout->RuleDfaStates(), pin.dout_rule_states);
+  }
+}
+
 }  // namespace
 }  // namespace xtc

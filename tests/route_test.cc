@@ -158,5 +158,47 @@ TEST(RouteTest, CallerWidthsAreTrustedNotRecomputed) {
                             RouteEngine::kUnimplemented}));
 }
 
+
+// Count pins for DTD(NFA) via determinization: Typecheck() determinizes
+// NfaSchemaFamily's schemas and routes them to trac. Each row pins the
+// verdict, the fixpoint's exploration, the rule-DFA sizes of the
+// determinized schemas and the budget checkpoints of the whole call.
+struct DeterminizationCountPin {
+  int n;
+  bool typechecks;
+  std::uint64_t configs;
+  std::uint64_t evaluations;
+  std::uint64_t product_states;
+  int din_rule_states;
+  int dout_rule_states;
+  std::uint64_t budget_checkpoints;
+};
+
+TEST(DeterminizationCountPinTest, NfaSchemaFamilyCountsAreExact) {
+  const DeterminizationCountPin pins[] = {
+      {3, true, 147, 151, 23, 8, 8, 192},
+      {5, true, 2115, 2121, 95, 32, 32, 2282},
+      {8, true, 131587, 131596, 767, 256, 256, 132877},
+  };
+  for (const DeterminizationCountPin& pin : pins) {
+    SCOPED_TRACE(pin.n);
+    PaperExample ex = NfaSchemaFamily(pin.n);
+    Budget budget;
+    TypecheckOptions options;
+    options.budget = &budget;
+    StatusOr<TypecheckResult> r =
+        Typecheck(*ex.transducer, *ex.din, *ex.dout, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.route, kNfaTrac);
+    EXPECT_EQ(r->typechecks, pin.typechecks);
+    EXPECT_EQ(r->stats.configs, pin.configs);
+    EXPECT_EQ(r->stats.evaluations, pin.evaluations);
+    EXPECT_EQ(r->stats.product_states, pin.product_states);
+    EXPECT_EQ(r->stats.din_rule_states, pin.din_rule_states);
+    EXPECT_EQ(r->stats.dout_rule_states, pin.dout_rule_states);
+    EXPECT_EQ(r->stats.budget_checkpoints, pin.budget_checkpoints);
+  }
+}
+
 }  // namespace
 }  // namespace xtc
