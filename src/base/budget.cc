@@ -40,14 +40,11 @@ Budget Budget::WithMaxBytes(std::uint64_t bytes) {
 
 void Budget::set_deadline(std::chrono::milliseconds deadline) {
   start_ = std::chrono::steady_clock::now();
-  deadline_duration_ = deadline;
   deadline_at_ = start_ + deadline;
 }
 
 void Budget::set_deadline_until(std::chrono::steady_clock::time_point at) {
   start_ = std::chrono::steady_clock::now();
-  deadline_duration_ = std::chrono::duration_cast<std::chrono::milliseconds>(
-      at > start_ ? at - start_ : std::chrono::steady_clock::duration::zero());
   deadline_at_ = at;
 }
 
@@ -63,11 +60,6 @@ double Budget::elapsed_ms() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start_)
       .count();
-}
-
-std::optional<std::chrono::milliseconds> Budget::deadline() const {
-  if (!deadline_at_.has_value()) return std::nullopt;
-  return deadline_duration_;
 }
 
 Status Budget::Exhaust(ExhaustionCause cause, const char* where) {

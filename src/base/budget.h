@@ -86,8 +86,6 @@ class Budget {
   std::uint64_t bytes_charged() const { return bytes_charged_; }
   /// Milliseconds since construction / the last set_deadline().
   double elapsed_ms() const;
-  /// The configured deadline, if any.
-  std::optional<std::chrono::milliseconds> deadline() const;
   bool exhausted() const { return cause_ != ExhaustionCause::kNone; }
   ExhaustionCause cause() const { return cause_; }
 
@@ -103,7 +101,6 @@ class Budget {
   std::uint64_t max_bytes_ = 0;
   std::uint64_t fail_at_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_at_;
-  std::chrono::milliseconds deadline_duration_{0};
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   ExhaustionCause cause_ = ExhaustionCause::kNone;

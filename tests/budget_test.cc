@@ -92,14 +92,6 @@ TEST(BudgetTest, ExpiredDeadlineTripsWithinClockStride) {
   EXPECT_EQ(b.cause(), ExhaustionCause::kDeadline);
 }
 
-TEST(BudgetTest, DeadlineAccessorRoundTrips) {
-  Budget b;
-  EXPECT_FALSE(b.deadline().has_value());
-  b.set_deadline(std::chrono::milliseconds(250));
-  ASSERT_TRUE(b.deadline().has_value());
-  EXPECT_EQ(b.deadline()->count(), 250);
-}
-
 TEST(BudgetTest, CauseNames) {
   EXPECT_STREQ(ExhaustionCauseName(ExhaustionCause::kNone), "none");
   EXPECT_STREQ(ExhaustionCauseName(ExhaustionCause::kDeadline), "deadline");
