@@ -27,6 +27,9 @@ set(forbidden
   # Moore DFA minimization is a test oracle (tests/moore_oracle.h); rule
   # DFAs are minimized by Dfa::Minimize.
   Dfa::Minimized
+  # Each rule DFA is stored once; engines read its complete view
+  # (Dfa::StepComplete), not a second, completed copy.
+  Dtd::RuleDfaComplete
   # Eager DTAc completion: the Theorem 20 engine complements on the fly.
   CompletedDeterministic
   IsBottomUpDeterministic

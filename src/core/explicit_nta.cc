@@ -122,8 +122,9 @@ class Builder {
                      const std::vector<int>& group_targets);
   void EmitDinLifted(int id, int a);
 
-  // Reachable-set cache over A_sigma = dout.RuleDfaComplete(sigma); the
-  // borrowed DFA pointer is address-stable (the rule cache never moves).
+  // Reachable-set cache over A_sigma, the complete view of
+  // dout.RuleDfa(sigma); the borrowed DFA pointer is address-stable (the
+  // rule cache never moves).
   const StateSet& OutReachable(int sigma, int from) {
     if (out_reach_.size() < static_cast<std::size_t>(sigma) + 1) {
       out_reach_.resize(static_cast<std::size_t>(sigma) + 1);
@@ -131,7 +132,7 @@ class Builder {
     std::unique_ptr<DfaReachability>& reach =
         out_reach_[static_cast<std::size_t>(sigma)];
     if (reach == nullptr) {
-      reach = std::make_unique<DfaReachability>(&dout_.RuleDfaComplete(sigma));
+      reach = std::make_unique<DfaReachability>(&dout_.RuleDfa(sigma));
     }
     return reach->From(from);
   }
@@ -232,11 +233,11 @@ Status Builder::EmitProduct(
     const std::vector<std::vector<int>>& group_first,
     const std::vector<std::vector<std::vector<int>>>& group_seps,
     const std::vector<int>& group_targets) {
-  const Dfa& a_sigma = dout_.RuleDfaComplete(sigma);
+  const Dfa& a_sigma = dout_.RuleDfa(sigma);
   const Dfa& d = din_.RuleDfa(a);
   if (d.initial() == Dfa::kDead) return Status::Ok();
   const int k = static_cast<int>(copy_states.size());
-  const int n_sigma = a_sigma.num_states();
+  const int n_sigma = a_sigma.num_complete_states();
 
   // Local states: (din state, y-vector, guess-vector), explored lazily from
   // all initial guess combinations.
@@ -299,8 +300,8 @@ Status Builder::EmitProduct(
       const std::vector<std::vector<int>>& seps = group_seps[g];
       for (std::size_t j = 0; j < firsts.size(); ++j) {
         int copy = firsts[j];
-        int end = a_sigma.Run(rest[static_cast<std::size_t>(copy)],
-                              seps[j + 1]);
+        int end = a_sigma.RunComplete(rest[static_cast<std::size_t>(copy)],
+                                      seps[j + 1]);
         if (j + 1 < firsts.size()) {
           // Chained: must equal the guessed start of the next copy.
           int next = firsts[j + 1];
@@ -426,14 +427,14 @@ Status Builder::Emit(int id) {
       LabelNodes(*rhs, &labels);
       const RhsNode* u = labels[static_cast<std::size_t>(key.u)];
       TopPattern pat = SplitTop(u->children);
-      const Dfa& a_sigma = dout_.RuleDfaComplete(u->label);
+      const Dfa& a_sigma = dout_.RuleDfa(u->label);
       if (pat.states.empty()) {
         // Constant child string: a violation iff rejected by A_sigma.
         if (!a_sigma.Accepts(pat.seps[0])) EmitDinLifted(id, key.a);
         return Status::Ok();
       }
       std::vector<int> starts(pat.states.size(), -1);
-      starts[0] = a_sigma.Run(a_sigma.initial(), pat.seps[0]);
+      starts[0] = a_sigma.RunComplete(a_sigma.initial(), pat.seps[0]);
       std::vector<int> firsts(pat.states.size());
       for (std::size_t j = 0; j < pat.states.size(); ++j) {
         firsts[j] = static_cast<int>(j);
@@ -442,7 +443,7 @@ Status Builder::Emit(int id) {
                          {pat.seps}, {-1});
     }
     case StateKey::Kind::kOblig: {
-      const Dfa& a_sigma = dout_.RuleDfaComplete(key.sigma);
+      const Dfa& a_sigma = dout_.RuleDfa(key.sigma);
       std::vector<int> copy_states;
       std::vector<int> copy_starts;
       std::vector<std::vector<int>> group_first;
@@ -456,7 +457,9 @@ Status Builder::Emit(int id) {
         }
         TopPattern pat = SplitTop(*rhs);
         if (pat.states.empty()) {
-          if (a_sigma.Run(obl.l, pat.seps[0]) != obl.r) return Status::Ok();
+          if (a_sigma.RunComplete(obl.l, pat.seps[0]) != obl.r) {
+            return Status::Ok();
+          }
           continue;
         }
         std::vector<int> firsts;
@@ -466,7 +469,8 @@ Status Builder::Emit(int id) {
         }
         for (std::size_t j = 0; j < pat.states.size(); ++j) {
           copy_states.push_back(pat.states[j]);
-          copy_starts.push_back(j == 0 ? a_sigma.Run(obl.l, pat.seps[0]) : -1);
+          copy_starts.push_back(
+              j == 0 ? a_sigma.RunComplete(obl.l, pat.seps[0]) : -1);
         }
         group_first.push_back(std::move(firsts));
         group_seps.push_back(pat.seps);

@@ -49,7 +49,7 @@ class SymbolicChecker {
   }
 
  private:
-  // delta* of the complete DFA for d_out(sigma) over the string
+  // delta* of d_out(sigma)'s complete view over the string
   // top(T^{p}(t_node)), as a function table Q_sigma -> Q_sigma. It is
   // composed left to right from the identity, fetching each (rhs state,
   // child) table once: O(|rhs|·k) memo lookups plus O(|Q_sigma|·|rhs|·k)
@@ -60,14 +60,16 @@ class SymbolicChecker {
     auto it = eff_memo_.find(key);
     if (it != eff_memo_.end()) return it->second;
     if (status_.ok()) status_ = BudgetCheck(budget_, "TypecheckMinVast/Eff");
-    const Dfa& d = dout_.RuleDfaComplete(sigma);
-    std::vector<int> f(static_cast<std::size_t>(d.num_states()));
-    for (int x = 0; x < d.num_states(); ++x) f[static_cast<std::size_t>(x)] = x;
+    const Dfa& d = dout_.RuleDfa(sigma);
+    std::vector<int> f(static_cast<std::size_t>(d.num_complete_states()));
+    for (int x = 0; x < d.num_complete_states(); ++x) {
+      f[static_cast<std::size_t>(x)] = x;
+    }
     const RhsHedge* rhs = t_.rule(p, forest_.label(node));
     if (rhs != nullptr && status_.ok()) {
       for (const RhsNode& n : *rhs) {
         if (n.kind == RhsNode::Kind::kLabel) {
-          for (int& y : f) y = d.Step(y, n.label);
+          for (int& y : f) y = d.StepComplete(y, n.label);
           continue;
         }
         XTC_CHECK(n.kind == RhsNode::Kind::kState);
@@ -108,11 +110,11 @@ class SymbolicChecker {
       }
       XTC_CHECK(n.kind == RhsNode::Kind::kLabel);
       // The children string of this produced node must match d_out(label).
-      const Dfa& d = dout_.RuleDfaComplete(n.label);
+      const Dfa& d = dout_.RuleDfa(n.label);
       int x = d.initial();
       for (const RhsNode& ch : n.children) {
         if (ch.kind == RhsNode::Kind::kLabel) {
-          x = d.Step(x, ch.label);
+          x = d.StepComplete(x, ch.label);
         } else {
           for (int c : forest_.children(node)) {
             x = Eff(ch.state, c, n.label)[static_cast<std::size_t>(x)];

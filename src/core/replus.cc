@@ -11,7 +11,8 @@
 namespace xtc {
 namespace {
 
-// Boolean state-pair relations over the complete output DFA for one sigma.
+// Boolean state-pair relations over the complete view of the output rule
+// DFA for one sigma.
 using Rel = std::vector<std::vector<bool>>;
 
 Rel IdentityRel(int n) {
@@ -68,7 +69,7 @@ Rel StepSymbol(const Rel& r, const Dfa& d, int symbol) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (r[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) {
-        int k = d.Step(j, symbol);
+        int k = d.StepComplete(j, symbol);
         out[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] = true;
       }
     }
@@ -95,7 +96,7 @@ class GrammarEngine {
     auto key = std::make_tuple(p, b, sigma);
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
-    const Dfa& d = dout_.RuleDfaComplete(sigma);
+    const Dfa& d = dout_.RuleDfa(sigma);
     if (status_.ok()) {
       status_ = BudgetCheck(budget_, "TypecheckRePlus/NontermRel");
     }
@@ -107,10 +108,11 @@ class GrammarEngine {
       // Park an identity relation so unwinding callers still index a table
       // of the right dimensions; the memo is poisoned but the engine is
       // single-run and the caller checks status().
-      return memo_.emplace(key, IdentityRel(d.num_states())).first->second;
+      return memo_.emplace(key, IdentityRel(d.num_complete_states()))
+          .first->second;
     }
     visiting_.insert(key);
-    Rel rel = IdentityRel(d.num_states());
+    Rel rel = IdentityRel(d.num_complete_states());
     const RhsHedge* rhs = t_.rule(p, b);
     if (rhs != nullptr) {
       // Body: s_0 <p_1,b_1>^{a_1}...<p_1,b_m>^{a_m} s_1 ... — the grammar of
@@ -137,8 +139,8 @@ class GrammarEngine {
   // The start-rule relation for rhs node u of rule (q, a): the pattern
   // z_0 q_1 z_1 ... q_k z_k evaluated against d_out(sigma).
   Rel StartRel(int a, const RhsHedge& children, int sigma) {
-    const Dfa& d = dout_.RuleDfaComplete(sigma);
-    Rel rel = IdentityRel(d.num_states());
+    const Dfa& d = dout_.RuleDfa(sigma);
+    Rel rel = IdentityRel(d.num_complete_states());
     const RePlus* factors = din_.RuleRePlus(a);
     XTC_CHECK(factors != nullptr);
     for (const RhsNode& n : children) {
@@ -234,9 +236,9 @@ StatusOr<TypecheckResult> TypecheckRePlus(const Transducer& t, const Dtd& din,
         for (const RhsNode& c : u->children) stack.push_back(&c);
         Rel rel = engine.StartRel(a, u->children, u->label);
         XTC_RETURN_IF_ERROR(engine.status());
-        const Dfa& d = dout.RuleDfaComplete(u->label);
+        const Dfa& d = dout.RuleDfa(u->label);
         ++result.stats.evaluations;
-        for (int y = 0; y < d.num_states() && !violated; ++y) {
+        for (int y = 0; y < d.num_complete_states() && !violated; ++y) {
           if (!d.final(y) &&
               rel[static_cast<std::size_t>(d.initial())]
                  [static_cast<std::size_t>(y)]) {

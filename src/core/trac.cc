@@ -210,15 +210,19 @@ class Engine {
     int next;
   };
 
-  const Dfa& OutDfa(int sigma) const { return dout_.RuleDfaComplete(sigma); }
+  // Lemma 14 runs A_sigma as a complete automaton: the engine reads only
+  // its complete view (RunComplete, num_complete_states), where a missing
+  // transition goes to the implicit non-final sink.
+  const Dfa& OutDfa(int sigma) const { return dout_.RuleDfa(sigma); }
   // Partial DFA: dead steps prune the child-symbol enumeration.
   const Dfa& InDfa(int b) const { return din_.RuleDfa(b); }
 
-  // Demand-driven reachability over OutDfa(sigma): obligation targets r
-  // with no path from l are unsatisfiable (the obligation constrains the
-  // run delta*(l, top(T^p(t))), which only follows real edges), so the
-  // singleton enumeration skips them. RuleDfaComplete's cached DFA is
-  // address-stable after first use, so the borrowed pointer stays valid.
+  // Demand-driven reachability over OutDfa(sigma)'s complete view:
+  // obligation targets r with no path from l are unsatisfiable (the
+  // obligation constrains the run delta*(l, top(T^p(t))), which only follows
+  // real edges), so the singleton enumeration skips them. RuleDfa's cached
+  // DFA is address-stable after first use, so the borrowed pointer stays
+  // valid.
   const StateSet& OutReachable(int sigma, int from) {
     if (out_reach_.size() < static_cast<std::size_t>(sigma + 1)) {
       out_reach_.resize(static_cast<std::size_t>(sigma + 1));
@@ -469,10 +473,10 @@ bool Engine::ExpandSat(int id) {
     const TopPattern& pat = patterns_[static_cast<std::size_t>(pattern)];
     if (pat.count == 0) {
       // Constant top string: check it directly.
-      if (a_sigma.Run(obl.l, Sep(pat, 0)) != obl.r) return false;
+      if (a_sigma.RunComplete(obl.l, Sep(pat, 0)) != obl.r) return false;
       continue;
     }
-    AddGroup(pattern, a_sigma.Run(obl.l, Sep(pat, 0)), obl.r);
+    AddGroup(pattern, a_sigma.RunComplete(obl.l, Sep(pat, 0)), obl.r);
   }
   return true;
 }
@@ -486,7 +490,7 @@ int Engine::Candidates(int id, int c, int sigma, int p, int y) {
   // scheduled for when they flip). This replaces the n_sigma^k enumeration
   // by a product of (typically tiny) sets.
   memo_.Open();
-  const int n_sigma = OutDfa(sigma).num_states();
+  const int n_sigma = OutDfa(sigma).num_complete_states();
   // Only targets reachable from y in A_sigma can be satisfied.
   const StateSet& zreach = OutReachable(sigma, y);
   for (int z = 0; z < n_sigma; ++z) {
@@ -508,8 +512,8 @@ bool Engine::Accepts(const Dfa& a_sigma, std::span<const int> y) const {
   for (const Group& g : groups_) {
     const TopPattern& pat = patterns_[static_cast<std::size_t>(g.pattern)];
     for (int j = 0; j < pat.count; ++j) {
-      const int end = a_sigma.Run(y[static_cast<std::size_t>(g.first_copy + j)],
-                                  Sep(pat, j + 1));
+      const int end = a_sigma.RunComplete(
+          y[static_cast<std::size_t>(g.first_copy + j)], Sep(pat, j + 1));
       if (j + 1 < pat.count) {
         // Must equal the guessed start of the next copy in the chain.
         const Copy& next = copies_[static_cast<std::size_t>(g.first_copy + j + 1)];
@@ -530,7 +534,7 @@ StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma) {
   const Dfa& a_sigma = OutDfa(sigma);
   const Dfa& d_in = InDfa(b);
   const int k = static_cast<int>(copies_.size());
-  const int n_sigma = a_sigma.num_states();
+  const int n_sigma = a_sigma.num_complete_states();
   const StateSet& inhabited = din_.InhabitedSymbols();
 
   if (d_in.initial() == Dfa::kDead) return false;
@@ -702,7 +706,7 @@ StatusOr<bool> Engine::Eval(int id) {
     if (pat.count == 0) {
       return !a_sigma.Accepts(Sep(pat, 0));
     }
-    AddGroup(top_pattern, a_sigma.Run(a_sigma.initial(), Sep(pat, 0)),
+    AddGroup(top_pattern, a_sigma.RunComplete(a_sigma.initial(), Sep(pat, 0)),
              /*target=*/-1);  // complement acceptance
     return HedgeSearch(id, b, sigma);
   }

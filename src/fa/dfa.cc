@@ -9,29 +9,34 @@
 namespace xtc {
 
 int Dfa::AddState(bool final) {
-  int id = num_states();
-  final_.push_back(final);
-  trans_.emplace_back(num_symbols_, kDead);
+  const int id = num_states();
+  // The sink stays last: its row of kDead becomes the new state's, and a
+  // fresh one is appended.
+  final_.insert(final_.end() - 1, final);
+  trans_.resize(trans_.size() + static_cast<std::size_t>(num_symbols_), kDead);
   return id;
 }
 
 void Dfa::SetFinal(int state, bool final) {
   XTC_CHECK(state >= 0 && state < num_states());
-  final_[state] = final;
+  final_[static_cast<std::size_t>(state)] = final;
 }
 
 void Dfa::SetTransition(int from, int symbol, int to) {
   XTC_CHECK(from >= 0 && from < num_states());
   XTC_CHECK(symbol >= 0 && symbol < num_symbols_);
   XTC_CHECK(to >= kDead && to < num_states());
-  trans_[from][symbol] = to;
+  int& t = trans_[Index(from, symbol)];
+  if (t == kDead) ++defined_;
+  if (to == kDead) --defined_;
+  t = to;
 }
 
 int Dfa::Step(int state, int symbol) const {
   if (state == kDead) return kDead;
   XTC_CHECK(state >= 0 && state < num_states());
   XTC_CHECK(symbol >= 0 && symbol < num_symbols_);
-  return trans_[state][symbol];
+  return trans_[Index(state, symbol)];
 }
 
 int Dfa::Run(int state, std::span<const int> word) const {
@@ -42,30 +47,26 @@ int Dfa::Run(int state, std::span<const int> word) const {
   return state;
 }
 
+int Dfa::StepComplete(int state, int symbol) const {
+  XTC_CHECK(state >= 0 && state <= sink());
+  XTC_CHECK(symbol >= 0 && symbol < num_symbols_);
+  const int t = trans_[Index(state, symbol)];
+  return t == kDead ? sink() : t;
+}
+
+int Dfa::RunComplete(int state, std::span<const int> word) const {
+  for (int sym : word) state = StepComplete(state, sym);
+  return state;
+}
+
 bool Dfa::Accepts(std::span<const int> word) const {
   int s = Run(initial_, word);
-  return s != kDead && final_[s];
+  return s != kDead && final(s);
 }
 
 std::size_t Dfa::Size() const {
-  std::size_t edges = 0;
-  for (const auto& row : trans_) {
-    for (int t : row) {
-      if (t != kDead) ++edges;
-    }
-  }
   return static_cast<std::size_t>(num_states()) +
-         static_cast<std::size_t>(num_symbols_) + edges;
-}
-
-bool Dfa::IsComplete() const {
-  if (initial_ == kDead) return false;
-  for (const auto& row : trans_) {
-    for (int t : row) {
-      if (t == kDead) return false;
-    }
-  }
-  return true;
+         static_cast<std::size_t>(num_symbols_) + defined_;
 }
 
 Dfa Dfa::Completed() const {
@@ -73,41 +74,37 @@ Dfa Dfa::Completed() const {
   if (out.initial_ == kDead) {
     out.initial_ = out.AddState(false);
   }
-  bool needs_sink = false;
-  for (const auto& row : out.trans_) {
-    if (std::find(row.begin(), row.end(), kDead) != row.end()) {
-      needs_sink = true;
-      break;
-    }
+  if (out.IsComplete()) return out;
+  const int sink = out.AddState(false);
+  // Every stored row, the new sink's included, but not the implicit one.
+  const std::size_t stored = out.Index(sink + 1, 0);
+  for (std::size_t i = 0; i < stored; ++i) {
+    if (out.trans_[i] == kDead) out.trans_[i] = sink;
   }
-  if (!needs_sink) return out;
-  int sink = out.AddState(false);
-  for (auto& row : out.trans_) {
-    for (int& t : row) {
-      if (t == kDead) t = sink;
-    }
-  }
+  out.defined_ = stored;
   return out;
 }
 
 Dfa Dfa::Complemented() const {
   Dfa out = Completed();
   for (int s = 0; s < out.num_states(); ++s) {
-    out.final_[s] = !out.final_[s];
+    out.final_[static_cast<std::size_t>(s)] = !out.final(s);
   }
   return out;
 }
 
-Dfa Dfa::Product(const Dfa& a_in, const Dfa& b_in, BoolOp op) {
+Dfa Dfa::Product(const Dfa& a, const Dfa& b, BoolOp op) {
   // Ungoverned: with a null budget the governed construction cannot fail.
-  return *Product(a_in, b_in, op, nullptr);
+  return *Product(a, b, op, nullptr);
 }
 
-StatusOr<Dfa> Dfa::Product(const Dfa& a_in, const Dfa& b_in, BoolOp op,
+StatusOr<Dfa> Dfa::Product(const Dfa& a, const Dfa& b, BoolOp op,
                            Budget* budget) {
-  // Complete operands so the pairing never loses track of one side.
-  Dfa a = a_in.Completed();
-  Dfa b = b_in.Completed();
+  // Pairs of the complete views, so the pairing never loses track of one
+  // side; an unset initial state reads as the sink.
+  auto start = [](const Dfa& d) {
+    return d.initial() == kDead ? d.sink() : d.initial();
+  };
   Dfa out(a.num_symbols());
   XTC_CHECK_EQ(a.num_symbols(), b.num_symbols());
   // Pair states are interned by hash; interner ids coincide with DFA state
@@ -133,7 +130,7 @@ StatusOr<Dfa> Dfa::Product(const Dfa& a_in, const Dfa& b_in, BoolOp op,
     }
     return out.AddState(f);
   };
-  out.SetInitial(get(a.initial(), b.initial()));
+  out.SetInitial(get(start(a), start(b)));
   for (int from = 0; from < ids.size(); ++from) {
     XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Dfa::Product"));
     // Copy out: the interner pool may reallocate as new pairs are minted.
@@ -141,8 +138,8 @@ StatusOr<Dfa> Dfa::Product(const Dfa& a_in, const Dfa& b_in, BoolOp op,
     const int sa = pair[0];
     const int sb = pair[1];
     for (int sym = 0; sym < a.num_symbols(); ++sym) {
-      int ta = a.Step(sa, sym);
-      int tb = b.Step(sb, sym);
+      int ta = a.StepComplete(sa, sym);
+      int tb = b.StepComplete(sb, sym);
       out.SetTransition(from, sym, get(ta, tb));
     }
   }
@@ -161,7 +158,7 @@ std::optional<std::vector<int>> Dfa::ShortestAccepted() const {
   while (!queue.empty()) {
     int s = queue.front();
     queue.pop_front();
-    if (final_[s]) {
+    if (final(s)) {
       std::vector<int> word;
       for (int cur = s; pred_state[cur] != -1; cur = pred_state[cur]) {
         word.push_back(pred_sym[cur]);
@@ -170,7 +167,7 @@ std::optional<std::vector<int>> Dfa::ShortestAccepted() const {
       return word;
     }
     for (int sym = 0; sym < num_symbols_; ++sym) {
-      int t = trans_[s][sym];
+      int t = trans_[Index(s, sym)];
       if (t == kDead || pred_state[t] != -2) continue;
       pred_state[t] = s;
       pred_sym[t] = sym;
@@ -257,26 +254,17 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
   const int n = num_states();
   // The empty language keeps one non-final state so initial() stays valid.
   auto make_empty = [&]() -> bool {
-    if (n == 1 && initial_ == 0 && !final_[0] &&
-        std::all_of(trans_[0].begin(), trans_[0].end(),
-                    [](int t) { return t == kDead; })) {
-      return false;
-    }
-    if (n == 0) AddState(false);
-    trans_.resize(1);
-    final_.resize(1);
-    final_[0] = false;
-    std::fill(trans_[0].begin(), trans_[0].end(), kDead);
+    if (n == 1 && initial_ == 0 && !final(0) && defined_ == 0) return false;
+    final_.assign(2, false);
+    trans_.assign(Index(2, 0), kDead);
+    defined_ = 0;
     initial_ = 0;
     return true;
   };
   if (n == 0 || initial_ == kDead) return make_empty();
-  if (n == 1 && final_[0]) return false;  // the ε rule, a*, ...
+  if (n == 1 && final(0)) return false;  // the ε rule, a*, ...
 
-  int m = 0;
-  for (const auto& row : trans_) {
-    for (int t : row) m += t != kDead ? 1 : 0;
-  }
+  int m = static_cast<int>(defined_);
   const int num_sets = std::max(n, m) + 1;
   const std::size_t need = 9 * static_cast<std::size_t>(m) +
                            6 * static_cast<std::size_t>(n) + 2 +
@@ -326,20 +314,21 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
   // reachable state are collected.
   reach(initial_);
   for (int i = 0; i < reached; ++i) {
-    for (int t : trans_[static_cast<std::size_t>(blocks.elems[i])]) {
-      if (t != kDead) reach(t);
+    const int* row = trans_.data() + Index(blocks.elems[i], 0);
+    for (int a = 0; a < num_symbols_; ++a) {
+      if (row[a] != kDead) reach(row[a]);
     }
   }
   const int reachable = reached;
   m = 0;
   for (int s = 0; s < n; ++s) {
     if (blocks.loc[s] >= reachable) continue;
-    const std::vector<int>& row = trans_[static_cast<std::size_t>(s)];
+    const int* row = trans_.data() + Index(s, 0);
     for (int a = 0; a < num_symbols_; ++a) {
-      if (row[static_cast<std::size_t>(a)] == kDead) continue;
+      if (row[a] == kDead) continue;
       tail[m] = s;
       label[m] = a;
-      head[m] = row[static_cast<std::size_t>(a)];
+      head[m] = row[a];
       ++m;
     }
   }
@@ -347,7 +336,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
   // [0, finals) of blocks.elems are the final states.
   reached = 0;
   for (int q = 0; q < n; ++q) {
-    if (final_[q] && blocks.loc[q] < reachable) reach(q);
+    if (final(q) && blocks.loc[q] < reachable) reach(q);
   }
   const int finals = reached;
   sort_by(head, n, in_first, in);
@@ -432,30 +421,38 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
     return blocks.loc[q] < useful ? class_id[blocks.set_of[q]] : kDead;
   };
   initial_ = renamed(initial_);
+  defined_ = 0;
   for (k = 0; k < classes; ++k) {
     const int q = rep[k];
+    int* row = trans_.data() + Index(k, 0);
     if (q != k) {
-      trans_[static_cast<std::size_t>(k)].swap(
-          trans_[static_cast<std::size_t>(q)]);
-      final_[static_cast<std::size_t>(k)] = final_[static_cast<std::size_t>(q)];
+      std::copy_n(trans_.data() + Index(q, 0), num_symbols_, row);
+      final_[static_cast<std::size_t>(k)] = final(q);
     }
-    for (int& t : trans_[static_cast<std::size_t>(k)]) {
-      if (t != kDead) t = renamed(t);
+    for (int a = 0; a < num_symbols_; ++a) {
+      if (row[a] == kDead) continue;
+      row[a] = renamed(row[a]);
+      if (row[a] != kDead) ++defined_;
     }
   }
-  trans_.resize(static_cast<std::size_t>(classes));
-  final_.resize(static_cast<std::size_t>(classes));
+  // The sink row goes back to the end.
+  trans_.resize(Index(classes + 1, 0));
+  std::fill(trans_.begin() + static_cast<std::ptrdiff_t>(Index(classes, 0)),
+            trans_.end(), kDead);
+  final_.resize(static_cast<std::size_t>(classes) + 1);
+  final_[static_cast<std::size_t>(classes)] = false;
   return true;
 }
 
 Nfa Dfa::ToNfa() const {
   Nfa out(num_symbols_);
   for (int s = 0; s < num_states(); ++s) {
-    out.AddState(s == initial_, final_[s]);
+    out.AddState(s == initial_, final(s));
   }
   for (int s = 0; s < num_states(); ++s) {
     for (int sym = 0; sym < num_symbols_; ++sym) {
-      if (trans_[s][sym] != kDead) out.AddTransition(s, sym, trans_[s][sym]);
+      const int t = trans_[Index(s, sym)];
+      if (t != kDead) out.AddTransition(s, sym, t);
     }
   }
   return out;
@@ -468,7 +465,7 @@ Nfa Dfa::Reverse(const Dfa& d) {
   }
   for (int s = 0; s < d.num_states(); ++s) {
     for (int sym = 0; sym < d.num_symbols(); ++sym) {
-      int t = d.trans_[s][sym];
+      int t = d.trans_[d.Index(s, sym)];
       if (t != kDead) out.AddTransition(t, sym, s);
     }
   }

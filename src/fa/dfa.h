@@ -13,25 +13,40 @@
 
 namespace xtc {
 
-/// A deterministic finite automaton over integer symbols 0..num_symbols-1.
-/// May be partial: missing transitions go to the implicit dead state
-/// Dfa::kDead. DTD(DFA) rules (Section 2.2) and output-schema automata
-/// (Lemma 14) are represented with this class.
+/// A deterministic finite automaton over integer symbols 0..num_symbols-1,
+/// stored partial and read through two views. DTD(DFA) rules (Section 2.2)
+/// and output-schema automata (Lemma 14) are represented with this class.
+///  - Partial: Step() and Run() send a missing transition to Dfa::kDead,
+///    which stays dead.
+///  - Complete: StepComplete() and RunComplete() send it to the implicit
+///    sink() == num_states(), a non-final state that loops on every symbol.
+///    The view has num_complete_states() states, the sink counted only when
+///    some transition is missing; once initial() is set, they are the
+///    states of Completed(), numbered alike.
+/// All transitions live in one row-major table whose last row is the
+/// sink's, so both views cost one read. num_states() counts the stored
+/// states only.
 class Dfa {
  public:
   static constexpr int kDead = -1;
 
-  explicit Dfa(int num_symbols) : num_symbols_(num_symbols) {}
+  explicit Dfa(int num_symbols)
+      : num_symbols_(num_symbols),
+        final_(1, false),
+        trans_(static_cast<std::size_t>(num_symbols), kDead) {}
 
   int AddState(bool final = false);
   void SetInitial(int state) { initial_ = state; }
   void SetFinal(int state, bool final = true);
   void SetTransition(int from, int symbol, int to);
 
-  int num_states() const { return static_cast<int>(trans_.size()); }
+  int num_states() const { return static_cast<int>(final_.size()) - 1; }
   int num_symbols() const { return num_symbols_; }
   int initial() const { return initial_; }
-  bool final(int state) const { return final_[state]; }
+  /// Whether `state` is final; the sink never is.
+  bool final(int state) const {
+    return final_[static_cast<std::size_t>(state)];
+  }
 
   /// One transition step; `state` may be kDead (stays dead).
   int Step(int state, int symbol) const;
@@ -41,14 +56,31 @@ class Dfa {
   /// the Lemma 14 construction.
   int Run(int state, std::span<const int> word) const;
 
+  int sink() const { return num_states(); }
+  int num_complete_states() const {
+    return IsComplete() ? num_states() : num_states() + 1;
+  }
+
+  /// One step of the complete view: `state` is a stored state or sink(),
+  /// and a missing transition goes to sink(). The view starts at
+  /// initial(), which must be set.
+  int StepComplete(int state, int symbol) const;
+  int RunComplete(int state, std::span<const int> word) const;
+
   bool Accepts(std::span<const int> word) const;
 
   /// Paper size measure.
   std::size_t Size() const;
 
-  bool IsComplete() const;
+  /// Whether initial() is set and no transition is missing.
+  bool IsComplete() const {
+    return initial_ != kDead &&
+           defined_ == static_cast<std::size_t>(num_states()) *
+                           static_cast<std::size_t>(num_symbols_);
+  }
 
-  /// Returns an equivalent complete DFA (adds a sink if needed).
+  /// Returns an equivalent complete DFA with the sink stored (adds an
+  /// initial state if none is set).
   Dfa Completed() const;
 
   /// Returns a complete DFA for the complement language.
@@ -56,8 +88,8 @@ class Dfa {
 
   enum class BoolOp { kAnd, kOr, kDiff };
 
-  /// Product construction. For kDiff, accepts L(a) \ L(b); b is completed
-  /// internally as needed. The governed overload checkpoints the budget
+  /// Product construction over the operands' complete views. For kDiff,
+  /// accepts L(a) \ L(b). The governed overload checkpoints the budget
   /// once per discovered pair state and fails with kResourceExhausted
   /// instead of building an oversized product.
   static Dfa Product(const Dfa& a, const Dfa& b, BoolOp op);
@@ -114,10 +146,17 @@ class Dfa {
   static StatusOr<Dfa> FromNfa(const Nfa& n, Budget* budget);
 
  private:
+  std::size_t Index(int state, int symbol) const {
+    return static_cast<std::size_t>(state) *
+               static_cast<std::size_t>(num_symbols_) +
+           static_cast<std::size_t>(symbol);
+  }
+
   int num_symbols_;
   int initial_ = kDead;
-  std::vector<bool> final_;
-  std::vector<std::vector<int>> trans_;  // trans_[state][symbol]
+  std::size_t defined_ = 0;  // transitions that are not kDead
+  std::vector<bool> final_;  // per state, then the sink's (false)
+  std::vector<int> trans_;   // trans_[Index(state, symbol)]; sink row last
 };
 
 }  // namespace xtc

@@ -8,13 +8,13 @@
 
 namespace xtc {
 
-/// Demand-driven reachability over a DFA's transition graph: From(s) is the
-/// set of states reachable from s by any symbol sequence (including s
-/// itself), computed by BFS on first request and memoized per source. The
-/// Lemma 14 engines use this to enumerate only horizontally *reachable*
-/// target states when guessing obligations against an output rule DFA,
-/// instead of sweeping every state of the rule — the horizontal counterpart
-/// of the lazy vertical frontier in src/nta/lazy.h.
+/// Demand-driven reachability over a DFA's complete view, sink included:
+/// From(s) is the set of states reachable from s by any symbol sequence
+/// (including s itself), computed by BFS on first request and memoized per
+/// source. The Lemma 14 engines use this to enumerate only horizontally
+/// *reachable* target states when guessing obligations against an output
+/// rule DFA, instead of sweeping every state of the rule — the horizontal
+/// counterpart of the lazy vertical frontier in src/nta/lazy.h.
 ///
 /// Borrows the DFA; the caller keeps it alive and unchanged. Thread
 /// ownership follows SubsetInterner: one owner thread, no concurrent use
@@ -22,7 +22,8 @@ namespace xtc {
 class DfaReachability {
  public:
   explicit DfaReachability(const Dfa* dfa)
-      : dfa_(dfa), from_(static_cast<std::size_t>(dfa->num_states())) {}
+      : dfa_(dfa),
+        from_(static_cast<std::size_t>(dfa->num_complete_states())) {}
 
   /// The reachable-state set of `state`. The reference is valid until the
   /// next From() call on a different source.

@@ -26,7 +26,7 @@ void Dtd::SetRule(int symbol, RegexPtr re) {
   r.regex = re;
   r.nfa = RegexToNfa(*re, num_symbols_);
   r.dfa.reset();
-  r.dfa_complete.reset();
+  r.forced = false;
   StatusOr<RePlus> rp = RePlus::FromRegex(*re);
   if (rp.ok()) {
     r.re_plus = *std::move(rp);
@@ -67,7 +67,7 @@ void Dtd::SetRuleNfa(int symbol, Nfa nfa) {
   r.re_plus.reset();
   r.nfa = std::move(nfa);
   r.dfa.reset();
-  r.dfa_complete.reset();
+  r.forced = false;
   r.kind = RuleKind::kNfa;
   InvalidateAnalysis();
 }
@@ -79,7 +79,7 @@ void Dtd::SetRuleDfa(int symbol, Dfa dfa) {
   r.re_plus.reset();
   r.nfa = dfa.ToNfa();
   r.dfa = std::move(dfa);
-  r.dfa_complete.reset();
+  r.forced = false;
   r.kind = RuleKind::kDfa;
   InvalidateAnalysis();
 }
@@ -116,34 +116,28 @@ const Nfa& Dtd::RuleNfa(int symbol) const {
 
 Status Dtd::ForceRuleDfa(const Rule& r, Dfa::MinimizeWorkspace* workspace,
                          Budget* budget) {
-  if (r.dfa_complete.has_value()) return Status::Ok();
+  if (r.forced) return Status::Ok();
   const bool built = !r.dfa.has_value();
   if (built) {
     XTC_ASSIGN_OR_RETURN(r.dfa, Dfa::FromNfa(*r.nfa, budget));
   }
   XTC_RETURN_IF_ERROR(r.dfa->Minimize(workspace, budget).status());
-  r.dfa_complete = r.dfa->Completed();
-  if (budget != nullptr) {
-    const std::size_t ints =
-        (built ? r.dfa->Size() : 0) + r.dfa_complete->Size();
-    budget->ChargeBytes(ints * sizeof(int));
+  r.forced = true;
+  // Minimize works in place, so only a DFA built here is new memory.
+  if (budget != nullptr && built) {
+    budget->ChargeBytes(r.dfa->Size() * sizeof(int));
   }
   return Status::Ok();
 }
 
 const Dfa& Dtd::RuleDfa(int symbol) const {
   const Rule& r = rule(symbol);
-  if (!r.dfa_complete.has_value()) {
+  if (!r.forced) {
     Dfa::MinimizeWorkspace workspace;
     // Ungoverned, so it cannot fail.
     XTC_CHECK(ForceRuleDfa(r, &workspace, nullptr).ok());
   }
   return *r.dfa;
-}
-
-const Dfa& Dtd::RuleDfaComplete(int symbol) const {
-  RuleDfa(symbol);
-  return *rule(symbol).dfa_complete;
 }
 
 int Dtd::RuleDfaStates() const {
@@ -184,11 +178,11 @@ Status Dtd::Compile(Budget* budget) {
 
 bool Dtd::IsCompiled() const {
   if (!inhabited_.has_value()) return false;
-  if (!default_rule_.dfa_complete.has_value()) return false;
+  if (!default_rule_.forced) return false;
   for (int s = 0; s < num_symbols_; ++s) {
     const Rule& r = rules_[static_cast<std::size_t>(s)];
     if (r.kind == RuleKind::kEpsilonDefault && !r.nfa.has_value()) continue;
-    if (!r.dfa_complete.has_value()) return false;
+    if (!r.forced) return false;
   }
   return true;
 }

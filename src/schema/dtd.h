@@ -70,19 +70,19 @@ class Dtd {
   /// subset construction can be exponential — that is the DTD(NFA) →
   /// DTD(DFA) cost the paper's PSPACE row charges.
   ///
-  /// Invariant: every rule DFA a Dtd hands out is minimal and trimmed
-  /// (Dfa::Minimize), whether it came from subset construction or from
-  /// SetRuleDfa: no unreachable state, no state that cannot reach a final
-  /// state, no sink (an empty rule language keeps one non-final state as
-  /// its initial state). These state counts are Lemma 14's |d_in| and
-  /// |d_out|, which sit in the exponent of the trac engine's bound.
-  /// RuleDfa() and Compile() force rules through the same helper, so direct
-  /// engine calls and the compile cache explore the same automata.
+  /// Invariant: each rule is stored once, and every rule DFA a Dtd hands
+  /// out is minimal and trimmed (Dfa::Minimize), whether it came from
+  /// subset construction or from SetRuleDfa: no unreachable state, no state
+  /// that cannot reach a final state, no stored sink (an empty rule
+  /// language keeps one non-final state as its initial state). These state
+  /// counts are Lemma 14's |d_in| and |d_out|, which sit in the exponent of
+  /// the trac engine's bound. Engines that run a rule as a complete
+  /// automaton (d_out's A_sigma in Lemma 14, the stream validator) read the
+  /// same DFA through its complete view (Dfa::StepComplete), whose implicit
+  /// sink is the one extra state a completion would add. RuleDfa() and
+  /// Compile() force rules through the same helper, so direct engine calls
+  /// and the compile cache explore the same automata.
   const Dfa& RuleDfa(int symbol) const;
-
-  /// The rule as a complete DFA (cached): RuleDfa() plus at most one sink
-  /// state. The Lemma 14 engine runs these.
-  const Dfa& RuleDfaComplete(int symbol) const;
 
   /// Total states of the declared deterministic rules' DFAs (explicit DFA,
   /// one-unambiguous regex, RE+): Lemma 14's |d| counted in rule-DFA
@@ -94,10 +94,10 @@ class Dtd {
   /// The rule's RE+ shape, if it has one.
   const RePlus* RuleRePlus(int symbol) const;
 
-  /// Forces every lazily computed member — each rule's minimized DFA, its
-  /// completion, and the inhabitation fixpoint — so that all later const
-  /// access is a pure read. A Dtd is thread-compatible only after
-  /// Compile(): RuleDfa / RuleDfaComplete / InhabitedSymbols populate
+  /// Forces every lazily computed member — each rule's minimized DFA and
+  /// the inhabitation fixpoint — so that all later const access is a pure
+  /// read. A Dtd is thread-compatible only after Compile(): RuleDfa /
+  /// InhabitedSymbols populate
   /// `mutable` caches on first use, which is a data race when a cached
   /// schema artifact is shared across service workers
   /// (src/base/README.md). The subset constructions and minimizations are
@@ -160,14 +160,13 @@ class Dtd {
     RegexPtr regex;
     std::optional<RePlus> re_plus;
     std::optional<Nfa> nfa;
-    // As installed by SetRuleDfa until forced; minimal once dfa_complete
-    // is set.
+    // As installed by SetRuleDfa until forced; minimal once `forced`.
     mutable std::optional<Dfa> dfa;
-    mutable std::optional<Dfa> dfa_complete;
+    mutable bool forced = false;
   };
 
-  // Builds the rule's DFA if it has none, minimizes and trims it, and
-  // completes it; `dfa_complete` marks a forced rule.
+  // Builds the rule's DFA if it has none and minimizes and trims it;
+  // `forced` marks a forced rule.
   static Status ForceRuleDfa(const Rule& r, Dfa::MinimizeWorkspace* workspace,
                              Budget* budget);
 

@@ -299,7 +299,7 @@ CompileCache::GetOrCompileSchema(const SchemaSpec& spec,
     shard.misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Compile outside the lock: subset construction + completion +
+  // Compile outside the lock: subset construction + minimization +
   // inhabitation, and determinization for non-DFA schemas — the expensive,
   // worst-case-exponential work the cache exists to amortize.
   Budget budget = MakeCompileBudget(deadline_cap_ms);

@@ -39,14 +39,14 @@ Status StreamValidator::OnEvent(const XmlEvent& event) {
       }
       root_seen_ = true;
     } else {
-      // Advance the parent's content model by this child's label. Complete
-      // DFAs never step to kDead; a violated rule parks in a non-final
+      // Advance the parent's content model by this child's label on the
+      // rule DFA's complete view: a violated rule parks in the non-final
       // sink that the parent's kEndElement check rejects.
       Frame& parent = frames_.back();
-      parent.state = parent.dfa->Step(parent.state, event.label);
+      parent.state = parent.dfa->StepComplete(parent.state, event.label);
     }
-    frames_.push_back(Frame{&dtd_->RuleDfaComplete(event.label),
-                            dtd_->RuleDfaComplete(event.label).initial()});
+    const Dfa& rule = dtd_->RuleDfa(event.label);
+    frames_.push_back(Frame{&rule, rule.initial()});
     if (static_cast<int>(frames_.size()) > peak_depth_) {
       peak_depth_ = static_cast<int>(frames_.size());
     }
@@ -56,7 +56,7 @@ Status StreamValidator::OnEvent(const XmlEvent& event) {
       return Status::Ok();
     }
     Frame& top = frames_.back();
-    if (top.state == Dfa::kDead || !top.dfa->final(top.state)) {
+    if (!top.dfa->final(top.state)) {
       invalid_ = true;
     }
     frames_.pop_back();

@@ -12,7 +12,8 @@
 namespace xtc {
 
 /// Streaming DTD validation (Definition 1) over an XML event stream: one
-/// complete content-model DFA state per open element, advanced by each
+/// content-model DFA state per open element (on the rule DFA's complete
+/// view, so a violation parks in the sink), advanced by each
 /// child's label at kStartElement and required to be accepting at
 /// kEndElement. Working memory is the frame stack — O(depth), independent
 /// of document size — which is the whole point: the DOM path's ceiling is
@@ -26,7 +27,7 @@ namespace xtc {
 /// reader still enforces well-formedness; only budget exhaustion surfaces
 /// as a non-ok Status.
 ///
-/// The Dtd must be Compile()d (RuleDfaComplete is a pure read only then);
+/// The Dtd must be Compile()d (RuleDfa is a pure read only then);
 /// cached service artifacts always are. Thread-compatibility:
 /// single-thread, like the Budget.
 class StreamValidator {
@@ -59,8 +60,8 @@ class StreamValidator {
 
  private:
   struct Frame {
-    const Dfa* dfa;  ///< complete content-model DFA of this element
-    int state;       ///< after the children seen so far
+    const Dfa* dfa;  ///< content-model DFA of this element, run complete
+    int state;       ///< after the children seen so far; may be the sink
   };
 
   const Dtd* dtd_;

@@ -18,6 +18,7 @@
 #include "src/fa/alphabet.h"
 #include "src/fa/dfa.h"
 #include "src/schema/dtd.h"
+#include "src/workload/families.h"
 #include "tests/moore_oracle.h"
 
 namespace {
@@ -126,6 +127,22 @@ void ExpectTrimmed(const Dfa& m) {
   }
 }
 
+// The complete view reads exactly L(d): a stored transition is kept, a
+// missing one goes to the sink, and the sink is non-final and loops on
+// every symbol. It has as many states as Completed() builds.
+void ExpectSinkViewAcceptsTheSameLanguage(const Dfa& d) {
+  const int sink = d.sink();
+  ASSERT_EQ(sink, d.num_states());
+  EXPECT_EQ(d.num_complete_states(), d.Completed().num_states());
+  EXPECT_FALSE(d.final(sink));
+  for (int s = 0; s < d.num_complete_states(); ++s) {
+    for (int a = 0; a < d.num_symbols(); ++a) {
+      const int partial = s < sink ? d.Step(s, a) : Dfa::kDead;
+      EXPECT_EQ(d.StepComplete(s, a), partial == Dfa::kDead ? sink : partial);
+    }
+  }
+}
+
 class MinimizeRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MinimizeRandomTest, MatchesMooreOracleAndIsIdempotent) {
@@ -148,6 +165,8 @@ TEST_P(MinimizeRandomTest, MatchesMooreOracleAndIsIdempotent) {
       EXPECT_TRUE(SameAutomaton(m, original));
     }
     ExpectTrimmed(m);
+    ExpectSinkViewAcceptsTheSameLanguage(original);
+    ExpectSinkViewAcceptsTheSameLanguage(m);
 
     const Dfa once = m;
     const std::uint64_t before = g_allocations.load();
@@ -338,11 +357,34 @@ TEST(MinimizeTest, DtdHandsOutMinimalRuleDfasOnBothPaths) {
     EXPECT_EQ(via_lazy.num_states(),
               std::max(1, UsefulClasses(MooreMinimized(via_lazy))));
     ExpectTrimmed(via_compile);
-    EXPECT_TRUE(compiled.RuleDfaComplete(sym).IsComplete());
-    EXPECT_TRUE(compiled.RuleDfaComplete(sym).EquivalentTo(via_compile));
+    ExpectSinkViewAcceptsTheSameLanguage(via_compile);
   }
   EXPECT_EQ(compiled.RuleDfa(r).num_states(), 1);
   EXPECT_EQ(compiled.RuleDfa(a).num_states(), 2);
+}
+
+// Dtd::Compile() stores each rule once, as one flat transition table, so
+// compiling both schemas of a family stays under a fixed allocation count.
+TEST(MinimizeTest, CompileAllocationsAreCapped) {
+  struct Case {
+    const char* name;
+    PaperExample (*make)();
+    std::uint64_t cap;
+  };
+  const Case cases[] = {
+      {"FilterFamily(10)", [] { return FilterFamily(10); }, 218},
+      {"RePlusDeletingFamily(11,8)",
+       [] { return RePlusDeletingFamily(11, 8, /*failing=*/false); }, 110},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PaperExample ex = c.make();
+    const std::uint64_t before = g_allocations.load();
+    ASSERT_TRUE(ex.din->Compile().ok());
+    ASSERT_TRUE(ex.dout->Compile().ok());
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_LE(allocations, c.cap);
+  }
 }
 
 }  // namespace

@@ -47,6 +47,7 @@ TEST_P(FaPropertyTest, PipelineAgreesOnAllShortWords) {
   Dfa minimized = MooreMinimized(dfa);
   EXPECT_TRUE(minimized.EquivalentTo(dfa));
   EXPECT_LE(minimized.num_states(), complete.num_states());
+  EXPECT_EQ(dfa.num_complete_states(), complete.num_states());
   Dfa trimmed = dfa;
   Dfa::MinimizeWorkspace workspace;
   ASSERT_TRUE(trimmed.Minimize(&workspace).ok());
@@ -56,6 +57,12 @@ TEST_P(FaPropertyTest, PipelineAgreesOnAllShortWords) {
     bool in_nfa = nfa.Accepts(w);
     EXPECT_EQ(dfa.Accepts(w), in_nfa) << GetParam();
     EXPECT_EQ(complete.Accepts(w), in_nfa) << GetParam();
+    // The sink view of the same DFA gives Completed()'s answer, and
+    // Complemented()'s once the final bit is flipped.
+    const int end = dfa.RunComplete(dfa.initial(), w);
+    ASSERT_LT(end, dfa.num_complete_states()) << GetParam();
+    EXPECT_EQ(dfa.final(end), complete.Accepts(w)) << GetParam();
+    EXPECT_EQ(!dfa.final(end), complement.Accepts(w)) << GetParam();
     EXPECT_NE(complement.Accepts(w), in_nfa) << GetParam();
     EXPECT_EQ(minimized.Accepts(w), in_nfa) << GetParam();
   }
