@@ -19,7 +19,7 @@ int Dfa::AddState(bool final) {
 
 void Dfa::SetFinal(int state, bool final) {
   XTC_CHECK(state >= 0 && state < num_states());
-  final_[static_cast<std::size_t>(state)] = final;
+  final_[state] = final;
 }
 
 void Dfa::SetTransition(int from, int symbol, int to) {
@@ -61,7 +61,7 @@ int Dfa::RunComplete(int state, std::span<const int> word) const {
 
 bool Dfa::Accepts(std::span<const int> word) const {
   int s = Run(initial_, word);
-  return s != kDead && final(s);
+  return s != kDead && final_[s];
 }
 
 std::size_t Dfa::Size() const {
@@ -88,7 +88,7 @@ Dfa Dfa::Completed() const {
 Dfa Dfa::Complemented() const {
   Dfa out = Completed();
   for (int s = 0; s < out.num_states(); ++s) {
-    out.final_[static_cast<std::size_t>(s)] = !out.final(s);
+    out.final_[s] = !out.final_[s];
   }
   return out;
 }
@@ -158,7 +158,7 @@ std::optional<std::vector<int>> Dfa::ShortestAccepted() const {
   while (!queue.empty()) {
     int s = queue.front();
     queue.pop_front();
-    if (final(s)) {
+    if (final_[s]) {
       std::vector<int> word;
       for (int cur = s; pred_state[cur] != -1; cur = pred_state[cur]) {
         word.push_back(pred_sym[cur]);
@@ -254,7 +254,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
   const int n = num_states();
   // The empty language keeps one non-final state so initial() stays valid.
   auto make_empty = [&]() -> bool {
-    if (n == 1 && initial_ == 0 && !final(0) && defined_ == 0) return false;
+    if (n == 1 && initial_ == 0 && !final_[0] && defined_ == 0) return false;
     final_.assign(2, false);
     trans_.assign(Index(2, 0), kDead);
     defined_ = 0;
@@ -262,7 +262,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
     return true;
   };
   if (n == 0 || initial_ == kDead) return make_empty();
-  if (n == 1 && final(0)) return false;  // the ε rule, a*, ...
+  if (n == 1 && final_[0]) return false;  // the ε rule, a*, ...
 
   int m = static_cast<int>(defined_);
   const int num_sets = std::max(n, m) + 1;
@@ -336,7 +336,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
   // [0, finals) of blocks.elems are the final states.
   reached = 0;
   for (int q = 0; q < n; ++q) {
-    if (final(q) && blocks.loc[q] < reachable) reach(q);
+    if (final_[q] && blocks.loc[q] < reachable) reach(q);
   }
   const int finals = reached;
   sort_by(head, n, in_first, in);
@@ -427,7 +427,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
     int* row = trans_.data() + Index(k, 0);
     if (q != k) {
       std::copy_n(trans_.data() + Index(q, 0), num_symbols_, row);
-      final_[static_cast<std::size_t>(k)] = final(q);
+      final_[static_cast<std::size_t>(k)] = final_[static_cast<std::size_t>(q)];
     }
     for (int a = 0; a < num_symbols_; ++a) {
       if (row[a] == kDead) continue;
@@ -447,7 +447,7 @@ StatusOr<bool> Dfa::Minimize(MinimizeWorkspace* workspace, Budget* budget) {
 Nfa Dfa::ToNfa() const {
   Nfa out(num_symbols_);
   for (int s = 0; s < num_states(); ++s) {
-    out.AddState(s == initial_, final(s));
+    out.AddState(s == initial_, final_[s]);
   }
   for (int s = 0; s < num_states(); ++s) {
     for (int sym = 0; sym < num_symbols_; ++sym) {

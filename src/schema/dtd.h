@@ -97,13 +97,12 @@ class Dtd {
   /// Forces every lazily computed member — each rule's minimized DFA and
   /// the inhabitation fixpoint — so that all later const access is a pure
   /// read. A Dtd is thread-compatible only after Compile(): RuleDfa /
-  /// InhabitedSymbols populate
-  /// `mutable` caches on first use, which is a data race when a cached
-  /// schema artifact is shared across service workers
-  /// (src/base/README.md). The subset constructions and minimizations are
-  /// governed by `budget` — for DTD(NFA) rules they are worst-case
-  /// exponential (the PSPACE price of Table 1), and a compile cache must
-  /// degrade softly rather than thrash on a hostile schema.
+  /// InhabitedSymbols populate `mutable` caches on first use, which is a
+  /// data race when a cached schema artifact is shared across service
+  /// workers (src/base/README.md). The subset constructions and
+  /// minimizations are governed by `budget` — for DTD(NFA) rules they are
+  /// worst-case exponential (the PSPACE price of Table 1), and a compile
+  /// cache must degrade softly rather than thrash on a hostile schema.
   Status Compile(Budget* budget = nullptr);
 
   /// Whether Compile() has run (and no rule was reinstalled since).
