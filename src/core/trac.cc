@@ -210,9 +210,9 @@ class Engine {
     int next;
   };
 
-  // Lemma 14 runs A_sigma as a complete automaton: the engine reads only
-  // its complete view (RunComplete, num_complete_states), where a missing
-  // transition goes to the implicit non-final sink.
+  // Lemma 14 runs A_sigma as a complete automaton: the engine steps the
+  // rule DFA's complete view (RunComplete, num_complete_states), where a
+  // missing transition goes to the implicit non-final sink.
   const Dfa& OutDfa(int sigma) const { return dout_.RuleDfa(sigma); }
   // Partial DFA: dead steps prune the child-symbol enumeration.
   const Dfa& InDfa(int b) const { return din_.RuleDfa(b); }

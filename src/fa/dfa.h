@@ -44,9 +44,7 @@ class Dfa {
   int num_symbols() const { return num_symbols_; }
   int initial() const { return initial_; }
   /// Whether `state` is final; the sink never is.
-  bool final(int state) const {
-    return final_[static_cast<std::size_t>(state)];
-  }
+  bool final(int state) const { return final_[state]; }
 
   /// One transition step; `state` may be kDead (stays dead).
   int Step(int state, int symbol) const;

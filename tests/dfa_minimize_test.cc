@@ -2,8 +2,9 @@
 // goes through: on seeded random partial DFAs it must keep the language,
 // land on exactly the useful classes of the Moore oracle, add no sink, leave
 // no useless state, and be a no-op that allocates nothing on a second call.
-// The global operator new of this binary counts allocations, so it lives in
-// its own test binary.
+// The rule DFAs' complete (sink) view and the allocation count of
+// Dtd::Compile() are checked here too. The global operator new of this
+// binary counts allocations, so it lives in its own test binary.
 
 #include <gtest/gtest.h>
 
