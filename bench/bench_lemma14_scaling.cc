@@ -108,7 +108,8 @@ BENCHMARK(BM_Lemma14_ExplicitConstruction)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 // shared timing loop, engine chosen by the caller. Verdict agreement is
 // asserted once outside the loop; ci/lazy_gate.py enforces the speedup on
 // the Inclusion pair's largest parameter.
-void RunLemma14Pair(benchmark::State& state, EmptinessEngine engine,
+void RunLemma14Pair(benchmark::State& state,
+                    decltype(&LazyEmptiness) engine,
                     const Nta& a, const Nta& b, bool expect_empty) {
   LazyProductSpec spec;
   spec.AddNta(&a);
@@ -119,9 +120,7 @@ void RunLemma14Pair(benchmark::State& state, EmptinessEngine engine,
   XTC_CHECK_MSG(eager.ok(), eager.status().ToString().c_str());
   XTC_CHECK(lazy->empty == expect_empty && eager->empty == expect_empty);
   for (auto _ : state) {
-    StatusOr<EmptinessOutcome> out = engine == EmptinessEngine::kLazy
-                                         ? LazyEmptiness(spec, nullptr)
-                                         : EagerEmptiness(spec, nullptr);
+    StatusOr<EmptinessOutcome> out = engine(spec, nullptr, {});
     XTC_CHECK_MSG(out.ok(), out.status().ToString().c_str());
     benchmark::DoNotOptimize(out->empty);
   }
@@ -132,17 +131,18 @@ void RunLemma14Pair(benchmark::State& state, EmptinessEngine engine,
 // lazy engine discovers only reachable configurations and exits at the
 // first counterexample, while the eager reference determinizes d_in's NTA,
 // complements, materializes the product, and decides emptiness afterwards.
-void RunLemma14Inclusion(benchmark::State& state, EmptinessEngine engine) {
+void RunLemma14Inclusion(benchmark::State& state,
+                         decltype(&LazyEmptiness) engine) {
   PaperExample ex = FilterFamily(static_cast<int>(state.range(0)));
   Nta a = Nta::FromDtd(*ex.dout);
   Nta b = Nta::FromDtd(*ex.din);
   RunLemma14Pair(state, engine, a, b, /*expect_empty=*/false);
 }
 void BM_Lemma14_InclusionLazy(benchmark::State& state) {
-  RunLemma14Inclusion(state, EmptinessEngine::kLazy);
+  RunLemma14Inclusion(state, LazyEmptiness);
 }
 void BM_Lemma14_InclusionEager(benchmark::State& state) {
-  RunLemma14Inclusion(state, EmptinessEngine::kEager);
+  RunLemma14Inclusion(state, EagerEmptiness);
 }
 // MinTime: the small rows run tens of µs/op and feed both the perf-smoke
 // compare and ci/lazy_gate.py — a longer window than the suite default
@@ -154,16 +154,17 @@ BENCHMARK(BM_Lemma14_InclusionEager)->Arg(8)->Arg(16)->Arg(32)->MinTime(0.25);
 // the lazy engine has no early exit and must saturate; its remaining edge
 // (reachable-only discovery, no materialized complement or product) is the
 // worst-case floor of the optimization.
-void RunLemma14SelfInclusion(benchmark::State& state, EmptinessEngine engine) {
+void RunLemma14SelfInclusion(benchmark::State& state,
+                             decltype(&LazyEmptiness) engine) {
   PaperExample ex = FilterFamily(static_cast<int>(state.range(0)));
   Nta a = Nta::FromDtd(*ex.din);
   RunLemma14Pair(state, engine, a, a, /*expect_empty=*/true);
 }
 void BM_Lemma14_SelfInclusionLazy(benchmark::State& state) {
-  RunLemma14SelfInclusion(state, EmptinessEngine::kLazy);
+  RunLemma14SelfInclusion(state, LazyEmptiness);
 }
 void BM_Lemma14_SelfInclusionEager(benchmark::State& state) {
-  RunLemma14SelfInclusion(state, EmptinessEngine::kEager);
+  RunLemma14SelfInclusion(state, EagerEmptiness);
 }
 BENCHMARK(BM_Lemma14_SelfInclusionLazy)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_Lemma14_SelfInclusionEager)->Arg(8)->Arg(16)->Arg(32);

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: builds the tier-1 suite three times — a plain RelWithDebInfo
-# build, an ASan+UBSan build, and a TSan build of the concurrent service
-# layer — and runs ctest in each, plus an explicit pass over the
-# resource-governance tests (fault-injection sweep, budget semantics,
-# malformed-input hardening) under the sanitizers. Any sanitizer report
-# aborts the run (abort_on_error=1 / halt_on_error=1), so a green exit
+# build with warnings as errors, an ASan+UBSan build, and a TSan build of
+# the concurrent service layer — and runs ctest in each, plus an explicit
+# pass over the resource-governance tests (fault-injection sweep, budget
+# semantics, malformed-input hardening) under the sanitizers. Any sanitizer
+# report aborts the run (abort_on_error=1 / halt_on_error=1), so a green exit
 # means zero leaks, zero UB across every injected failure point, and zero
 # data races in the multi-threaded typechecking service.
 set -euo pipefail
@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-2}"
 
-echo "=== configure + build (RelWithDebInfo) ==="
-cmake --preset default >/dev/null
+echo "=== configure + build (RelWithDebInfo, warnings are errors) ==="
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build --preset default -j "${JOBS}"
 
 echo "=== tier-1 tests (RelWithDebInfo) ==="

@@ -17,28 +17,26 @@ void MustSetRule(Transducer* t, std::string_view state,
 }
 
 // DFA simulating A_1..A_n on #-separated (or terminator-separated) segments
-// of a string. States: (i, x) for segment i in state x of A_i; a "done"
-// state after all n segments; an accepting "bad" sink once some A_i
-// rejected or `ok_symbol` was read. Which end states accept is configured
-// by the caller via flags.
+// of a string. States: (i, x) for segment i in state x of A_i's complete
+// view; a "done" state after all n segments; an accepting "bad" sink once
+// some A_i rejected or `ok_symbol` was read. Which end states accept is
+// configured by the caller via flags. Every A_i must have an initial state.
 Dfa SegmentedSimulationDfa(const std::vector<Dfa>& dfas,
                            const std::vector<int>& delta_symbols,
                            int separator_symbol, int ok_symbol,
                            int num_symbols, bool separator_before_segments,
                            bool partial_final) {
   const int n = static_cast<int>(dfas.size());
-  std::vector<Dfa> complete;
-  complete.reserve(static_cast<std::size_t>(n));
-  for (const Dfa& d : dfas) complete.push_back(d.Completed());
-
   Dfa out(num_symbols);
-  // Layout: per i, a block of complete[i].num_states() states; then done,
-  // then bad.
+  // Layout: per i, a block of dfas[i].num_complete_states() states; then
+  // done, then bad.
   std::vector<int> offset(static_cast<std::size_t>(n));
   int total = 0;
   for (int i = 0; i < n; ++i) {
+    const Dfa& a = dfas[static_cast<std::size_t>(i)];
+    XTC_CHECK(a.initial() != Dfa::kDead);
     offset[static_cast<std::size_t>(i)] = total;
-    total += complete[static_cast<std::size_t>(i)].num_states();
+    total += a.num_complete_states();
   }
   int done = total;
   int bad = total + 1;
@@ -46,8 +44,8 @@ Dfa SegmentedSimulationDfa(const std::vector<Dfa>& dfas,
   out.AddState(false);  // done
   out.AddState(true);   // bad
   for (int i = 0; i < n; ++i) {
-    const Dfa& a = complete[static_cast<std::size_t>(i)];
-    for (int x = 0; x < a.num_states(); ++x) {
+    const Dfa& a = dfas[static_cast<std::size_t>(i)];
+    for (int x = 0; x < a.num_complete_states(); ++x) {
       int id = offset[static_cast<std::size_t>(i)] + x;
       if (!partial_final) {
         // Theorem 18 variant: the string can end inside the last segment;
@@ -57,7 +55,7 @@ Dfa SegmentedSimulationDfa(const std::vector<Dfa>& dfas,
       for (std::size_t di = 0; di < delta_symbols.size(); ++di) {
         out.SetTransition(id, delta_symbols[di],
                           offset[static_cast<std::size_t>(i)] +
-                              a.Step(x, static_cast<int>(di)));
+                              a.StepComplete(x, static_cast<int>(di)));
       }
       // Separator: segment ends here.
       int sep_target;
@@ -67,7 +65,7 @@ Dfa SegmentedSimulationDfa(const std::vector<Dfa>& dfas,
         sep_target = i + 1 == n
                          ? done
                          : offset[static_cast<std::size_t>(i) + 1] +
-                               complete[static_cast<std::size_t>(i) + 1].initial();
+                               dfas[static_cast<std::size_t>(i) + 1].initial();
       }
       out.SetTransition(id, separator_symbol, sep_target);
       if (ok_symbol >= 0) out.SetTransition(id, ok_symbol, bad);
@@ -86,7 +84,7 @@ Dfa SegmentedSimulationDfa(const std::vector<Dfa>& dfas,
   out.SetTransition(bad, separator_symbol, bad);
   if (ok_symbol >= 0) out.SetTransition(bad, ok_symbol, bad);
 
-  out.SetInitial(offset[0] + complete[0].initial());
+  out.SetInitial(offset[0] + dfas[0].initial());
   (void)separator_before_segments;
   return out;
 }
@@ -340,19 +338,20 @@ bool XPathContainedBounded(const XPathPattern& p1, const XPathPattern& p2,
 
 bool DfaIntersectionEmpty(const std::vector<Dfa>& dfas) {
   XTC_CHECK(!dfas.empty());
-  std::vector<Dfa> complete;
-  for (const Dfa& d : dfas) complete.push_back(d.Completed());
-  const int num_symbols = complete[0].num_symbols();
+  const int num_symbols = dfas[0].num_symbols();
   std::vector<int> start;
-  for (const Dfa& d : complete) start.push_back(d.initial());
+  for (const Dfa& d : dfas) {
+    XTC_CHECK(d.initial() != Dfa::kDead);
+    start.push_back(d.initial());
+  }
   std::set<std::vector<int>> seen{start};
   std::deque<std::vector<int>> queue{start};
   while (!queue.empty()) {
     std::vector<int> cur = queue.front();
     queue.pop_front();
     bool all_final = true;
-    for (std::size_t i = 0; i < complete.size(); ++i) {
-      if (!complete[i].final(cur[i])) {
+    for (std::size_t i = 0; i < dfas.size(); ++i) {
+      if (!dfas[i].final(cur[i])) {
         all_final = false;
         break;
       }
@@ -360,8 +359,8 @@ bool DfaIntersectionEmpty(const std::vector<Dfa>& dfas) {
     if (all_final) return false;
     for (int sym = 0; sym < num_symbols; ++sym) {
       std::vector<int> next(cur.size());
-      for (std::size_t i = 0; i < complete.size(); ++i) {
-        next[i] = complete[i].Step(cur[i], sym);
+      for (std::size_t i = 0; i < dfas.size(); ++i) {
+        next[i] = dfas[i].StepComplete(cur[i], sym);
       }
       if (seen.insert(next).second) queue.push_back(std::move(next));
     }

@@ -90,25 +90,18 @@ StateSet ConsultedOutputSymbols(const Transducer& t, const Dtd& dout) {
 StatusOr<TypecheckResult> TypecheckViaDeterminization(
     const Transducer& t, const Dtd& din, const Dtd& dout,
     const TypecheckOptions& options, int max_dfa_states) {
-  // Lazy mode: determinize only the rules the Lemma 14 engine can actually
-  // consult — the input symbols reachable from the start symbol and the
-  // output symbols the transducer can emit. The remaining rules keep their
-  // NFA form (identical language, no subset construction). Eager mode
-  // keeps the historical determinize-everything behaviour as the reference.
-  // This pre-pass is engine-shape-only: the determinized DTDs it builds
-  // are answered by the trac engine, not by lazy product emptiness.
-  const bool lazy = options.emptiness_engine == EmptinessEngine::kLazy;
-  StateSet needed_in, needed_out;
-  if (lazy) {
-    needed_in = ConsultedInputSymbols(din);
-    needed_out = ConsultedOutputSymbols(t, dout);
-  }
+  // Determinize only the rules the Lemma 14 engine can actually consult —
+  // the input symbols reachable from the start symbol and the output
+  // symbols the transducer can emit. The remaining rules keep their NFA
+  // form (identical language, no subset construction).
+  const StateSet needed_in = ConsultedInputSymbols(din);
+  const StateSet needed_out = ConsultedOutputSymbols(t, dout);
   XTC_ASSIGN_OR_RETURN(
-      Dtd din_det, DeterminizeDtd(din, max_dfa_states, options.budget,
-                                  lazy ? &needed_in : nullptr));
+      Dtd din_det,
+      DeterminizeDtd(din, max_dfa_states, options.budget, &needed_in));
   XTC_ASSIGN_OR_RETURN(
-      Dtd dout_det, DeterminizeDtd(dout, max_dfa_states, options.budget,
-                                   lazy ? &needed_out : nullptr));
+      Dtd dout_det,
+      DeterminizeDtd(dout, max_dfa_states, options.budget, &needed_out));
   StatusOr<TypecheckResult> result =
       TypecheckTrac(t, din_det, dout_det, options);
   if (result.ok()) {

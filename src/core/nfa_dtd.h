@@ -33,9 +33,11 @@ StateSet ConsultedInputSymbols(const Dtd& din);
 /// occurring in the transducer's templates plus the output start symbol.
 StateSet ConsultedOutputSymbols(const Transducer& t, const Dtd& dout);
 
-/// Complete typechecker for DTD(NFA) schemas: determinize both schemas,
-/// then run the Lemma 14 engine. Worst-case exponential in the schema
-/// sizes, matching the PSPACE-hardness of TC[T_nd,bc, DTD(NFA)].
+/// Complete typechecker for DTD(NFA) schemas: determinize the rules of both
+/// schemas the engine can consult (ConsultedInputSymbols,
+/// ConsultedOutputSymbols), then run the Lemma 14 engine. Worst-case
+/// exponential in the schema sizes, matching the PSPACE-hardness of
+/// TC[T_nd,bc, DTD(NFA)].
 StatusOr<TypecheckResult> TypecheckViaDeterminization(
     const Transducer& t, const Dtd& din, const Dtd& dout,
     const TypecheckOptions& options = {}, int max_dfa_states = 1 << 16);

@@ -368,11 +368,12 @@ Nta ComplementedDfaDtd(const Dtd& dout) {
 }
 
 // Theorem 20's query: is L(B_in) ∩ L(B_out) empty, where B_out accepts the
-// #-marked trees whose γ-image lies outside L(aout)? B_out comes one of
-// two ways:
+// #-marked trees whose γ-image lies outside L(aout)? The product's shape
+// picks the engine:
 //  - `aout_complemented`: aout already accepts the complement (the paper's
-//    order, complement then #-eliminate), so B_out = HE(aout) joins the
-//    product as an existential factor and the query stays polynomial;
+//    order, complement then #-eliminate), so B_out = HE(aout) is a second
+//    existential factor and the eager bottom-up fold (Intersect, then
+//    emptiness) answers in polynomial time;
 //  - otherwise aout is any NTA(NFA) and B_out is the complement of
 //    HE(aout), which the lazy engine builds by subset construction on the
 //    reachable subsets only. HE(aout) is nondeterministic even for a
@@ -384,8 +385,7 @@ StatusOr<bool> DelRelabEmptiness(const Transducer& t, const Nta& ain,
                                  const Nta& aout, bool aout_complemented,
                                  TypecheckStats* stats,
                                  const TypecheckOptions& options) {
-  if (options.emptiness_engine == EmptinessEngine::kLazy &&
-      options.lazy_resume != nullptr && options.lazy_resume->complete) {
+  if (options.lazy_resume != nullptr && options.lazy_resume->complete) {
     // A complete snapshot of an equal query already holds the verdict;
     // neither automaton needs building.
     if (options.lazy_export != nullptr) {
@@ -399,37 +399,28 @@ StatusOr<bool> DelRelabEmptiness(const Transducer& t, const Nta& ain,
   Nta bout = HashEliminationNta(aout, base);
   LazyProductSpec spec;
   spec.AddNta(&bin);
-  if (aout_complemented) {
-    spec.AddNta(&bout);
-  } else {
-    spec.AddDeterminized(&bout, /*complement=*/true);
-  }
   LazyOptions lazy_options;
   lazy_options.budget = budget;
-  lazy_options.max_configs = static_cast<int>(
-      std::min<std::uint64_t>(options.max_configs, 1u << 30));
-  lazy_options.max_h_configs = lazy_options.max_configs;
-  lazy_options.resume = options.lazy_resume;
-  lazy_options.export_snapshot = options.lazy_export;
-  auto verdict = [stats](const EmptinessOutcome& outcome) {
-    stats->nta_states = outcome.stats.configs;
-    stats->nta_size = outcome.stats.h_configs + outcome.stats.steps;
-    return outcome.empty;
-  };
-  if (options.emptiness_engine == EmptinessEngine::kLazy) {
-    StatusOr<EmptinessOutcome> lazy =
-        LazyEmptiness(spec, nullptr, lazy_options);
-    if (lazy.ok()) return verdict(*lazy);
-    // A tripped Budget is sticky and must surface; only the lazy engine's
-    // own state caps fall back to the eager reference pipeline.
-    if (budget != nullptr && budget->exhausted()) return lazy.status();
-    if (lazy.status().code() != StatusCode::kResourceExhausted) {
-      return lazy.status();
+  EmptinessOutcome outcome;
+  if (aout_complemented) {
+    spec.AddNta(&bout);
+    XTC_ASSIGN_OR_RETURN(outcome, EagerEmptiness(spec, nullptr, lazy_options));
+    // With nothing determinized, the verdict is the whole snapshot.
+    if (options.lazy_export != nullptr) {
+      *options.lazy_export = LazySnapshot{{}, /*complete=*/true, outcome.empty};
     }
+  } else {
+    spec.AddDeterminized(&bout, /*complement=*/true);
+    lazy_options.max_configs = static_cast<int>(
+        std::min<std::uint64_t>(options.max_configs, 1u << 30));
+    lazy_options.max_h_configs = lazy_options.max_configs;
+    lazy_options.resume = options.lazy_resume;
+    lazy_options.export_snapshot = options.lazy_export;
+    XTC_ASSIGN_OR_RETURN(outcome, LazyEmptiness(spec, nullptr, lazy_options));
   }
-  XTC_ASSIGN_OR_RETURN(EmptinessOutcome eager,
-                       EagerEmptiness(spec, nullptr, lazy_options));
-  return verdict(eager);
+  stats->nta_states = outcome.stats.configs;
+  stats->nta_size = outcome.stats.h_configs + outcome.stats.steps;
+  return outcome.empty;
 }
 
 }  // namespace

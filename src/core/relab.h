@@ -31,12 +31,14 @@ Nta HashEliminationNta(const Nta& aout, int hash_symbol);
 /// #-marked trees whose γ-image violates d_out. For a DTD(DFA) d_out this
 /// follows the paper: d_out's DTA is completed with a sink and complemented
 /// (linear for DFA rules), #-eliminated, and intersected with B_in as an
-/// ordinary NTA — polynomial. For a DTD(NFA) d_out, completing is a subset
-/// construction per rule, so B_out is instead the complement of
-/// HashEliminationNta(d_out), built by the lazy engine on the reachable
-/// subsets only (worst-case exponential, the price the DTD(NFA) cells of
-/// Table 1 charge). Counterexamples (in terms of the *input* tree) are
-/// recovered by a bounded search when requested.
+/// ordinary NTA by the eager bottom-up fold (EagerEmptiness) — polynomial,
+/// with no config cap: only `options.budget` bounds it. For a DTD(NFA)
+/// d_out, completing is a subset construction per rule, so B_out is instead
+/// the complement of HashEliminationNta(d_out), built by the lazy engine on
+/// the reachable subsets only under `options.max_configs` (worst-case
+/// exponential, the price the DTD(NFA) cells of Table 1 charge).
+/// Counterexamples (in terms of the *input* tree) are recovered by a
+/// bounded search when requested.
 StatusOr<TypecheckResult> TypecheckDelRelab(const Transducer& t,
                                             const Dtd& din, const Dtd& dout,
                                             const TypecheckOptions& options = {});

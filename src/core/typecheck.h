@@ -100,14 +100,6 @@ struct TypecheckOptions {
   /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   bool approximate_fallback = false;
 
-  /// Which engine answers NTA product-emptiness queries in the paths that
-  /// pose them (Theorem 20 relabeling, determinization-backed dispatch):
-  /// the lazy frontier engine (src/nta/lazy.h, reachable-only with early
-  /// exit) by default, falling back to the eager materializing pipeline
-  /// when the lazy engine overruns its own state caps. kEager forces the
-  /// reference pipeline throughout.
-  EmptinessEngine emptiness_engine = EmptinessEngine::kLazy;
-
   /// Nothing in src/ reads this; kept until xtcbench/drive.cc drops it.
   int emptiness_threads = 1;
 
@@ -137,8 +129,9 @@ struct TypecheckOptions {
   /// Resumable lazy-engine state (the service compile cache). `lazy_resume`
   /// warm-starts the lazy emptiness run with previously discovered tables;
   /// it must come from an identical request (same schemas and transducer).
-  /// When `lazy_export` is non-null and the lazy run completes cleanly, it
-  /// receives the discovered tables for caching; a failed or skipped run
+  /// When `lazy_export` is non-null and the emptiness run completes cleanly,
+  /// it receives the discovered tables for caching (just the verdict when
+  /// the product has no determinized factor); a failed or skipped run
   /// leaves it untouched.
   const LazySnapshot* lazy_resume = nullptr;
   LazySnapshot* lazy_export = nullptr;

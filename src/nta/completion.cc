@@ -63,10 +63,8 @@ Nta CompletedDeterministic(const Nta& nta) {
     // horizontal languages. Strings mentioning the sink symbol fall into the
     // complement automatically, as no existing language mentions it.
     Nfa u = HorizontalUnion(nta, a).ShiftedSymbols(0, n + 1);
-    Dfa comp = Dfa::FromNfa(u).Completed();
-    // Completed() guarantees totality over symbols 0..n; complement finals.
-    Nfa cnfa = comp.Complemented().ToNfa();
-    out.SetTransition(sink, a, std::move(cnfa));
+    // Complemented() completes over symbols 0..n before flipping finals.
+    out.SetTransition(sink, a, Dfa::FromNfa(u).Complemented().ToNfa());
   }
   return out;
 }

@@ -12,14 +12,6 @@
 
 namespace xtc {
 
-/// Which engine answers NTA product-emptiness queries (DESIGN.md §3c): the
-/// lazy frontier engine below (reachable-only, early exit), or the eager
-/// reference pipeline (DeterminizeToDtac + Intersect + IsEmptyLanguage).
-enum class EmptinessEngine {
-  kLazy,
-  kEager,
-};
-
 /// One factor of a product-emptiness query. Existential components
 /// contribute one nondeterministically-chosen run; determinized components
 /// are tracked as full state subsets of their Q (on-the-fly subset
@@ -126,9 +118,14 @@ StatusOr<EmptinessOutcome> LazyEmptiness(const LazyProductSpec& spec,
                                          SharedForest* forest,
                                          const LazyOptions& options = {});
 
-/// Reference implementation of the same query: materializes DeterminizeToDtac
+/// The eager bottom-up fold of the same query: materializes DeterminizeToDtac
 /// (+ ComplementedDtac) per determinized component, folds Intersect, then
-/// runs IsEmptyLanguage / WitnessTree. Same verdicts, eager cost.
+/// runs IsEmptyLanguage / WitnessTree. Same verdicts. On a spec of
+/// existential components only it determinizes nothing and is the faster
+/// engine (Theorem 20 over DTD(DFA) outputs takes this path); with a
+/// determinized component it pays for the full subset construction, and
+/// the lazy engine wins. `max_configs` caps DeterminizeToDtac only; the
+/// fold itself is bounded by the Budget alone. Exports no snapshot.
 StatusOr<EmptinessOutcome> EagerEmptiness(const LazyProductSpec& spec,
                                           SharedForest* forest,
                                           const LazyOptions& options = {});

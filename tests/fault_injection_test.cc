@@ -111,30 +111,21 @@ TEST(FaultInjectionTest, SweepAllEnginesCleanly) {
   }
   {
     // Both shapes of the Theorem 20 query: a DTD(DFA) d_out is complemented
-    // before #-elimination (two existential factors), a DTD(NFA) d_out is
-    // complemented on the fly (a determinized factor). Each runs lazily and
-    // through the eager pipeline (DeterminizeToDtac on the determinized
-    // factor, complement, Intersect, emptiness).
+    // before #-elimination (two existential factors, the eager fold), a
+    // DTD(NFA) d_out is complemented on the fly (a determinized factor, the
+    // lazy engine). The eager fold of a determinized factor is swept
+    // directly below ("eager-emptiness").
     struct Instance {
-      const char* lazy_name;
-      const char* eager_name;
+      const char* name;
       PaperExample ex;
     };
-    const Instance instances[] = {
-        {"delrelab", "delrelab-eager", RelabFamily(3)},
-        {"delrelab-nfa", "delrelab-nfa-eager", NfaSchemaFamily(2)}};
+    const Instance instances[] = {{"delrelab", RelabFamily(3)},
+                                  {"delrelab-nfa", NfaSchemaFamily(2)}};
     for (const Instance& inst : instances) {
       const PaperExample& ex = inst.ex;
-      total += SweepInjection(inst.lazy_name, [&](Budget* b) {
+      total += SweepInjection(inst.name, [&](Budget* b) {
         TypecheckOptions opts;
         opts.budget = b;
-        return TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, opts)
-            .status();
-      });
-      total += SweepInjection(inst.eager_name, [&](Budget* b) {
-        TypecheckOptions opts;
-        opts.budget = b;
-        opts.emptiness_engine = EmptinessEngine::kEager;
         return TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, opts)
             .status();
       });

@@ -214,22 +214,18 @@ TEST(LazyDeterminizeTest, BothEnginesReportResourceExhaustedOnTrippedBudget) {
   int tripped_eager = 0;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     InclusionQuery q = MakeInclusion(seed);
-    for (EmptinessEngine engine :
-         {EmptinessEngine::kLazy, EmptinessEngine::kEager}) {
+    for (auto* engine : {&LazyEmptiness, &EagerEmptiness}) {
       Budget budget;
       budget.set_max_steps(1);
       LazyOptions options;
       options.budget = &budget;
-      StatusOr<EmptinessOutcome> out =
-          engine == EmptinessEngine::kLazy
-              ? LazyEmptiness(q.spec, nullptr, options)
-              : EagerEmptiness(q.spec, nullptr, options);
+      StatusOr<EmptinessOutcome> out = engine(q.spec, nullptr, options);
       if (!budget.exhausted()) {
         EXPECT_TRUE(out.ok()) << "seed " << seed << ": "
                               << out.status().ToString();
         continue;
       }
-      (engine == EmptinessEngine::kLazy ? tripped_lazy : tripped_eager) += 1;
+      (engine == &LazyEmptiness ? tripped_lazy : tripped_eager) += 1;
       EXPECT_FALSE(out.ok()) << "seed " << seed;
       EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
           << "seed " << seed << ": " << out.status().ToString();

@@ -372,12 +372,10 @@ TEST(RelabDifferentialTest, CoprimeCounterStaysPolynomial) {
   // node's child count modulo every prime at once, so it needs at least
   // 2 * 3 * 5 * 7 * 11 * 13 = 30030 subsets at k = 6 and trips this cap.
   // Complementing d_out's DTA first (the paper's order) determinizes
-  // nothing. The eager engine poses the same product as the lazy one and
-  // answers this instance fastest.
+  // nothing, and the eager fold of that product has no config cap.
   PaperExample ex = CoprimeCounterFamily(6);
   TypecheckOptions topts;
   topts.want_counterexample = false;
-  topts.emptiness_engine = EmptinessEngine::kEager;
   topts.max_configs = 30030;
   StatusOr<TypecheckResult> r =
       TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, topts);
@@ -385,13 +383,45 @@ TEST(RelabDifferentialTest, CoprimeCounterStaysPolynomial) {
   EXPECT_TRUE(r->typechecks);
 }
 
+// Each product shape has one engine and no fallback, so `max_configs`
+// binds only where a factor is determinized.
+TEST(RelabDifferentialTest, ConfigCapBindsOnlyTheDeterminizedShape) {
+  TypecheckOptions topts;
+  topts.want_counterexample = false;
+  // DTD(NFA) output: the lazy engine explores 6 configs on NfaSchemaFamily(8)
+  // and gives up under a cap of 5.
+  PaperExample nfa = NfaSchemaFamily(8);
+  ASSERT_FALSE(nfa.dout->IsDfaDtd());
+  topts.max_configs = 5;
+  StatusOr<TypecheckResult> capped =
+      TypecheckDelRelab(*nfa.transducer, *nfa.din, *nfa.dout, topts);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+  topts.max_configs = TypecheckOptions().max_configs;
+  StatusOr<TypecheckResult> fits =
+      TypecheckDelRelab(*nfa.transducer, *nfa.din, *nfa.dout, topts);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_TRUE(fits->typechecks);
+  EXPECT_EQ(fits->stats.nta_states, 6u);
+  // DTD(DFA) output: the existential fold still answers under a cap of 1.
+  PaperExample dfa = RelabFamily(6);
+  ASSERT_TRUE(dfa.dout->IsDfaDtd());
+  topts.max_configs = 1;
+  StatusOr<TypecheckResult> uncapped =
+      TypecheckDelRelab(*dfa.transducer, *dfa.din, *dfa.dout, topts);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+  EXPECT_TRUE(uncapped->typechecks);
+  EXPECT_GT(uncapped->stats.nta_states, 1u);
+}
 
-// Count pins for Theorem 20: the exact verdict and the lazy product the
-// engine explores (nta_states, nta_size) and the budget checkpoints it
-// passes on fixed families, three sizes each. Direct engine calls leave
-// TypecheckStats' rule-DFA sizes unset, so the rows pin
-// Dtd::RuleDfaStates() of the two schemas instead: the minimal, trimmed
-// rule DFAs that ComplementedDfaDtd reads. Any change to those automata or
+// Count pins for Theorem 20: the exact verdict, the product the engine
+// builds (nta_states, nta_size) and the budget checkpoints it passes on
+// fixed families, three sizes each. DTD(DFA) outputs pin the eager fold's
+// product states and size, DTD(NFA) outputs the lazy engine's configs and
+// horizontal states plus steps. Direct engine calls leave TypecheckStats'
+// rule-DFA sizes unset, so the rows pin Dtd::RuleDfaStates() of the two
+// schemas instead: the minimal, trimmed rule DFAs that ComplementedDfaDtd
+// reads. Any change to those automata or
 // to the product's exploration moves these numbers.
 struct RelabCountPin {
   const char* name;
@@ -406,12 +436,12 @@ struct RelabCountPin {
 
 TEST(RelabCountPinTest, Theorem20CountsAreExact) {
   const RelabCountPin pins[] = {
-      {"RelabFamily(2)", [] { return RelabFamily(2); }, true, 54, 8140, 8019,
-       3, 3},
-      {"RelabFamily(6)", [] { return RelabFamily(6); }, true, 86, 44196,
-       43715, 7, 7},
-      {"RelabFamily(9)", [] { return RelabFamily(9); }, true, 110, 105006,
-       104087, 10, 10},
+      {"RelabFamily(2)", [] { return RelabFamily(2); }, true, 702, 102661,
+       603, 3, 3},
+      {"RelabFamily(6)", [] { return RelabFamily(6); }, true, 2286, 1142953,
+       2011, 7, 7},
+      {"RelabFamily(9)", [] { return RelabFamily(9); }, true, 4230, 3947551,
+       3739, 10, 10},
       // NFA rules are not counted by RuleDfaStates().
       {"NfaSchemaFamily(3)", [] { return NfaSchemaFamily(3); }, true, 6, 182,
        183, 0, 0},
@@ -420,11 +450,11 @@ TEST(RelabCountPinTest, Theorem20CountsAreExact) {
       {"NfaSchemaFamily(8)", [] { return NfaSchemaFamily(8); }, true, 6, 9002,
        7743, 0, 0},
       {"CoprimeCounterFamily(2)", [] { return CoprimeCounterFamily(2); },
-       true, 188, 100737, 100269, 3, 6},
+       true, 2950, 1285599, 1777, 3, 6},
       {"CoprimeCounterFamily(3)", [] { return CoprimeCounterFamily(3); },
-       true, 380, 582930, 581490, 3, 11},
+       true, 8712, 10069836, 4666, 3, 11},
       {"CoprimeCounterFamily(4)", [] { return CoprimeCounterFamily(4); },
-       true, 708, 2734613, 2730875, 3, 18},
+       true, 23030, 63208607, 11031, 3, 18},
   };
   for (const RelabCountPin& pin : pins) {
     SCOPED_TRACE(pin.name);

@@ -262,7 +262,7 @@ class StreamDocFixture : public ::testing::Test {
   Transducer MakeRootCopying() {
     Transducer t(&alphabet_);
     int m = t.AddState("m");
-    int c = t.AddState("c");
+    t.AddState("c");
     t.SetInitial(m);
     EXPECT_TRUE(t.SetRuleFromString("m", "root", "root(c c)").ok());
     EXPECT_TRUE(t.SetRuleFromString("c", "section", "section(c)").ok());
