@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "src/base/logging.h"
 #include "src/core/relab.h"
 #include "src/core/trac.h"
@@ -31,6 +33,27 @@ void BM_Thm20_RelabScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_Thm20_RelabScaling)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(9)
     ->Arg(13)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// The failing counterpart: d_out's root rule has one child too few, so
+// every input fails and the fold stops at the first accepting product
+// state.
+void BM_Thm20_RelabArityMismatch(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  PaperExample ex = RelabFamily(n);
+  std::string fewer = "b";
+  for (int i = 2; i < n; ++i) fewer += " b";
+  XTC_CHECK(ex.dout->SetRule("r", fewer).ok());
+  TypecheckOptions opts;
+  opts.want_counterexample = false;
+  for (auto _ : state) {
+    StatusOr<TypecheckResult> r =
+        TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, opts);
+    XTC_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+    XTC_CHECK(!r->typechecks);
+  }
+}
+BENCHMARK(BM_Thm20_RelabArityMismatch)->Arg(2)->Arg(4)->Arg(6)->Arg(8)
+    ->Arg(9)->Arg(13)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_Thm20_FilterViaTreeAutomata(benchmark::State& state) {
   // The ToC-style deleting relabeling over the section hierarchy.
@@ -85,8 +108,8 @@ BENCHMARK(BM_Thm20_NfaSchemaFamily)->DenseRange(2, 14)
 // DTD(DFA) output schema whose rules count modulo the first k primes:
 // complementing HE(d_out) by subset construction would mint ∏ p_i
 // configurations; complementing d_out's DTA first keeps the product
-// polynomial in k, and the eager fold builds all of it (`configs` counts
-// its states, 2–3× more per prime).
+// polynomial in k (`configs` counts the product states the eager fold
+// reaches).
 void BM_Thm20_CoprimeCounterFamily(benchmark::State& state) {
   PaperExample ex = CoprimeCounterFamily(static_cast<int>(state.range(0)));
   TypecheckOptions opts;

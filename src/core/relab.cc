@@ -372,8 +372,9 @@ Nta ComplementedDfaDtd(const Dtd& dout) {
 // picks the engine:
 //  - `aout_complemented`: aout already accepts the complement (the paper's
 //    order, complement then #-eliminate), so B_out = HE(aout) is a second
-//    existential factor and the eager bottom-up fold (Intersect, then
-//    emptiness) answers in polynomial time;
+//    existential factor and the eager bottom-up fold (reachability over
+//    the product's states, stopping at the first accepting one) answers in
+//    polynomial time;
 //  - otherwise aout is any NTA(NFA) and B_out is the complement of
 //    HE(aout), which the lazy engine builds by subset construction on the
 //    reachable subsets only. HE(aout) is nondeterministic even for a

@@ -31,8 +31,9 @@ Nta HashEliminationNta(const Nta& aout, int hash_symbol);
 /// #-marked trees whose γ-image violates d_out. For a DTD(DFA) d_out this
 /// follows the paper: d_out's DTA is completed with a sink and complemented
 /// (linear for DFA rules), #-eliminated, and intersected with B_in as an
-/// ordinary NTA by the eager bottom-up fold (EagerEmptiness) — polynomial,
-/// with no config cap: only `options.budget` bounds it. For a DTD(NFA)
+/// ordinary NTA by the eager bottom-up fold (EagerEmptiness, which stops at
+/// the first accepting product state) — polynomial, with no config cap:
+/// only `options.budget` bounds it. For a DTD(NFA)
 /// d_out, completing is a subset construction per rule, so B_out is instead
 /// the complement of HashEliminationNta(d_out), built by the lazy engine on
 /// the reachable subsets only under `options.max_configs` (worst-case

@@ -1,6 +1,9 @@
 #include "src/nta/lazy.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -406,6 +409,126 @@ class LazyEngine {
   LazyStats stats_;
 };
 
+// The last intersection of the eager fold, decided without building it:
+// Fig. A.1's reachability fixpoint over the product states of `a` and `b`.
+// Product state (qa, qb) is reached once ha × hb accepts a word over
+// reached states, which a breadth-first search over pairs of horizontal
+// states decides, reading the edges out of a pair as |ea|·|eb| edge pairs;
+// nothing of the product outlives the search. Stops at the first reached
+// state that is final in both. With a forest, every reached state keeps
+// the tree its search found (a shortest child word), and the accepting
+// state's tree is the witness.
+Status IntersectionEmptiness(const Nta& a, const Nta& b, SharedForest* forest,
+                             Budget* budget, EmptinessOutcome* out) {
+  const int nb = b.num_states();
+  const std::int64_t states = static_cast<std::int64_t>(a.num_states()) * nb;
+  if (states > std::numeric_limits<int>::max()) {
+    return ResourceExhaustedError(
+        "EagerEmptiness: product state count overflows");
+  }
+  XTC_RETURN_IF_ERROR(BudgetCheck(budget, "EagerEmptiness"));
+  // b's transitions by symbol: each of a's transitions pairs with these.
+  std::vector<std::vector<std::pair<int, const Nfa*>>> by_symbol(
+      static_cast<std::size_t>(b.num_symbols()));
+  for (const auto& [key, h] : b.transitions()) {
+    by_symbol[static_cast<std::size_t>(key.second)].emplace_back(key.first,
+                                                                 &h);
+  }
+  StateSet reached(static_cast<int>(states));
+  std::vector<int> tree_of;  // forest id per reached product state
+  if (forest != nullptr) tree_of.assign(static_cast<std::size_t>(states), -1);
+  // Search scratch over pairs of horizontal states; a pair is visited in
+  // the current search iff its stamp equals `search`.
+  std::vector<std::uint32_t> stamp;
+  std::vector<int> parent;  // the pair a visited pair was reached from
+  std::vector<int> via;     // and the product state read on that edge
+  std::vector<int> queue;
+  std::vector<int> word;
+  std::uint32_t search = 0;
+  out->empty = true;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const auto& [key, ha] : a.transitions()) {
+      const auto [qa, symbol] = key;
+      for (const auto& [qb, hb_ptr] :
+           by_symbol[static_cast<std::size_t>(symbol)]) {
+        const int q = qa * nb + qb;
+        if (reached.Test(q)) continue;
+        XTC_RETURN_IF_ERROR(BudgetCheck(budget, "EagerEmptiness"));
+        const Nfa& hb = *hb_ptr;
+        const int mb = hb.num_states();
+        const std::size_t pairs =
+            static_cast<std::size_t>(ha.num_states()) * mb;
+        if (stamp.size() < pairs) {
+          stamp.resize(pairs, 0);
+          parent.resize(pairs);
+          via.resize(pairs);
+        }
+        if (++search == 0) {
+          std::fill(stamp.begin(), stamp.end(), 0);
+          search = 1;
+        }
+        queue.clear();
+        for (int sa = 0; sa < ha.num_states(); ++sa) {
+          if (!ha.initial(sa)) continue;
+          for (int sb = 0; sb < mb; ++sb) {
+            if (!hb.initial(sb)) continue;
+            const int p = sa * mb + sb;
+            stamp[p] = search;
+            parent[p] = -1;
+            queue.push_back(p);
+          }
+        }
+        int accepting = -1;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+          XTC_RETURN_IF_ERROR(BudgetCheck(budget, "EagerEmptiness"));
+          const int p = queue[head];
+          const int sa = p / mb;
+          const int sb = p % mb;
+          if (ha.final(sa) && hb.final(sb)) {
+            accepting = p;
+            break;
+          }
+          ++out->stats.h_configs;
+          for (const auto& [ca, ta] : ha.Edges(sa)) {
+            for (const auto& [cb, tb] : hb.Edges(sb)) {
+              ++out->stats.steps;
+              const int t = ta * mb + tb;
+              const int child = ca * nb + cb;
+              if (stamp[t] == search || !reached.Test(child)) continue;
+              stamp[t] = search;
+              parent[t] = p;
+              via[t] = child;
+              queue.push_back(t);
+            }
+          }
+        }
+        if (accepting < 0) continue;
+        if (forest != nullptr) {
+          word.clear();
+          for (int p = accepting; parent[p] >= 0; p = parent[p]) {
+            word.push_back(tree_of[static_cast<std::size_t>(via[p])]);
+          }
+          std::reverse(word.begin(), word.end());
+          tree_of[static_cast<std::size_t>(q)] = forest->Make(symbol, word);
+        }
+        reached.Set(q);
+        ++out->stats.configs;
+        changed = true;
+        if (a.final(qa) && b.final(qb)) {
+          out->empty = false;
+          if (forest != nullptr) {
+            out->witness = tree_of[static_cast<std::size_t>(q)];
+          }
+          return Status::Ok();
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::size_t LazySnapshot::ApproxBytes() const {
@@ -447,35 +570,45 @@ StatusOr<EmptinessOutcome> EagerEmptiness(const LazyProductSpec& spec,
   if (spec.components().empty()) {
     return InvalidArgumentError("empty emptiness product spec");
   }
+  // Existential components are read in place; only the determinized ones
+  // and the running product are built.
   const auto& comps = spec.components();
-  std::vector<Nta> owned;
-  owned.reserve(comps.size());
+  std::vector<Nta> built;
+  built.reserve(comps.size());  // `factors` points into it
+  std::vector<const Nta*> factors;
   for (const LazyComponent& comp : comps) {
     if (!comp.determinize) {
-      owned.push_back(*comp.nta);
+      factors.push_back(comp.nta);
       continue;
     }
     XTC_ASSIGN_OR_RETURN(
         Nta det,
         DeterminizeToDtac(*comp.nta, options.max_configs, options.budget));
-    owned.push_back(comp.complement ? ComplementedDtac(det) : std::move(det));
+    built.push_back(comp.complement ? ComplementedDtac(det) : std::move(det));
+    factors.push_back(&built.back());
   }
-  Nta product = std::move(owned.front());
-  for (std::size_t i = 1; i < owned.size(); ++i) {
-    XTC_ASSIGN_OR_RETURN(product,
-                         Intersect(product, owned[i], options.budget));
+  // Fold every factor but the last into a built product; the last
+  // intersection is explored, not built.
+  std::optional<Nta> folded;
+  const Nta* product = factors.front();
+  for (std::size_t i = 1; i + 1 < factors.size(); ++i) {
+    XTC_ASSIGN_OR_RETURN(Nta next,
+                         Intersect(*product, *factors[i], options.budget));
+    folded = std::move(next);
+    product = &*folded;
   }
   EmptinessOutcome out;
-  out.stats.configs = static_cast<std::uint64_t>(product.num_states());
-  out.stats.steps = static_cast<std::uint64_t>(product.Size());
-  if (forest != nullptr) {
+  if (factors.size() > 1) {
+    XTC_RETURN_IF_ERROR(IntersectionEmptiness(*product, *factors.back(), forest,
+                                              options.budget, &out));
+  } else if (forest != nullptr) {
     XTC_ASSIGN_OR_RETURN(
         std::optional<int> witness,
-        WitnessTree(product, forest, nullptr, options.budget));
+        WitnessTree(*product, forest, nullptr, options.budget));
     out.empty = !witness.has_value();
     out.witness = witness.value_or(-1);
   } else {
-    XTC_ASSIGN_OR_RETURN(out.empty, IsEmptyLanguage(product, options.budget));
+    XTC_ASSIGN_OR_RETURN(out.empty, IsEmptyLanguage(*product, options.budget));
   }
   return out;
 }

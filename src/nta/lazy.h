@@ -47,8 +47,10 @@ class LazyProductSpec {
 };
 
 /// Exploration counters, reported by both engines so call sites and benches
-/// can compare work done. For the eager engine, `configs` is the
-/// materialized product state count.
+/// can compare work done. For the eager engine, `configs` counts the
+/// product states its last intersection reached, `h_configs` the pairs of
+/// horizontal states its searches expanded and `steps` the edge pairs they
+/// read.
 struct LazyStats {
   std::uint64_t configs = 0;     ///< product configurations discovered
   std::uint64_t h_configs = 0;   ///< joint horizontal states discovered
@@ -119,13 +121,18 @@ StatusOr<EmptinessOutcome> LazyEmptiness(const LazyProductSpec& spec,
                                          const LazyOptions& options = {});
 
 /// The eager bottom-up fold of the same query: materializes DeterminizeToDtac
-/// (+ ComplementedDtac) per determinized component, folds Intersect, then
-/// runs IsEmptyLanguage / WitnessTree. Same verdicts. On a spec of
-/// existential components only it determinizes nothing and is the faster
-/// engine (Theorem 20 over DTD(DFA) outputs takes this path); with a
-/// determinized component it pays for the full subset construction, and
-/// the lazy engine wins. `max_configs` caps DeterminizeToDtac only; the
-/// fold itself is bounded by the Budget alone. Exports no snapshot.
+/// (+ ComplementedDtac) per determinized component, reads existential
+/// components in place, folds Intersect over all but the last factor, and
+/// decides the last intersection by the reachability fixpoint over its
+/// product states without building it, stopping at the first accepting
+/// product state (a witness, when a forest is given, is built along the
+/// way). Same verdicts. On a spec of existential components only it
+/// determinizes nothing and is the faster engine (Theorem 20 over DTD(DFA)
+/// outputs takes this path); with a determinized component it pays for the
+/// full subset construction, and the lazy engine wins. `max_configs` caps
+/// DeterminizeToDtac only; the fold itself is bounded by the Budget alone,
+/// which it checkpoints per product state tried and per pair of horizontal
+/// states expanded. Exports no snapshot.
 StatusOr<EmptinessOutcome> EagerEmptiness(const LazyProductSpec& spec,
                                           SharedForest* forest,
                                           const LazyOptions& options = {});

@@ -1,5 +1,8 @@
 #include "src/nta/product.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "src/base/logging.h"
 
 namespace xtc {
@@ -12,8 +15,13 @@ StatusOr<Nta> Intersect(const Nta& a, const Nta& b, Budget* budget) {
   XTC_CHECK_EQ(a.num_symbols(), b.num_symbols());
   const int na = a.num_states();
   const int nb = b.num_states();
+  if (static_cast<std::int64_t>(na) * nb > std::numeric_limits<int>::max()) {
+    return ResourceExhaustedError("Intersect: product state count overflows");
+  }
+  XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Intersect"));
   Nta out(a.num_symbols(), na * nb);
   for (int qa = 0; qa < na; ++qa) {
+    XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Intersect"));
     for (int qb = 0; qb < nb; ++qb) {
       if (a.final(qa) && b.final(qb)) out.SetFinal(qa * nb + qb);
     }
@@ -42,6 +50,7 @@ StatusOr<Nta> Intersect(const Nta& a, const Nta& b, Budget* budget) {
           for (int sb = 0; sb < mb; ++sb) {
             const auto& eb = hb->Edges(sb);
             if (eb.empty()) continue;
+            XTC_RETURN_IF_ERROR(BudgetCheck(budget, "Intersect"));
             // Fill the whole product row at once; AddTransition's per-edge
             // bounds checks would dominate the build otherwise.
             auto& row = h.MutableEdges(sa * mb + sb);

@@ -6,6 +6,7 @@
 #include "src/nta/analysis.h"
 #include "src/nta/completion.h"
 #include "src/nta/determinize.h"
+#include "src/nta/lazy.h"
 #include "src/nta/product.h"
 #include "src/tree/codec.h"
 
@@ -161,6 +162,96 @@ TEST_F(NtaTest, DeterminizeRespectsBudget) {
   StatusOr<Nta> det = DeterminizeToDtac(u, 1);
   EXPECT_FALSE(det.ok());
   EXPECT_EQ(det.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A one-state NTA over one symbol whose horizontal NFA has `m` states, all
+// initial and final, and an edge between every pair: each row of a product
+// with itself carries m * m edges.
+Nta DenseHorizontal(int m) {
+  Nfa h(1);
+  for (int i = 0; i < m; ++i) h.AddState(true, true);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < m; ++j) h.AddTransition(i, 0, j);
+  }
+  Nta nta(1, 1);
+  nta.SetFinal(0);
+  nta.SetTransition(0, 0, std::move(h));
+  return nta;
+}
+
+TEST(IntersectBudgetTest, CheckpointsEveryProductRow) {
+  const int m = 8;
+  Nta a = DenseHorizontal(m);
+  Budget budget;
+  StatusOr<Nta> both = Intersect(a, a, &budget);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_FALSE(IsEmptyLanguage(*both));
+  // One checkpoint before the states are allocated, one per state of `a`
+  // while marking final states, one for the horizontal pair and one per
+  // product row, so at most m * m edges are built between two of them.
+  const std::uint64_t expected = 1 + 1 + 1 + m * m;
+  EXPECT_EQ(budget.checkpoints(), expected);
+  for (std::uint64_t k = 1; k <= expected; ++k) {
+    Budget faulty;
+    faulty.set_fail_at_checkpoint(k);
+    StatusOr<Nta> cut = Intersect(a, a, &faulty);
+    ASSERT_FALSE(cut.ok()) << "checkpoint " << k;
+    EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(IntersectBudgetTest, RefusesAStateCountBeyondInt) {
+  // 50000^2 states do not fit an int; the product fails before allocating.
+  Nta big(1, 50000);
+  Budget budget;
+  StatusOr<Nta> both = Intersect(big, big, &budget);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(budget.checkpoints(), 0u);
+}
+
+// Two states: 0 is a leaf, 1 has m horizontal states with an edge on child
+// state 0 between every pair, initial 0 and final m - 1.
+Nta LeafClique(int m) {
+  Nfa leaf(2);
+  leaf.AddState(true, true);
+  Nfa clique(2);
+  for (int i = 0; i < m; ++i) clique.AddState(i == 0, i == m - 1);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < m; ++j) clique.AddTransition(i, 0, j);
+  }
+  Nta nta(1, 2);
+  nta.SetFinal(1);
+  nta.SetTransition(0, 0, std::move(leaf));
+  nta.SetTransition(1, 0, std::move(clique));
+  return nta;
+}
+
+TEST(EagerEmptinessBudgetTest, CheckpointsEveryExpandedPair) {
+  const int m = 6;
+  Nta a = LeafClique(m);
+  LazyProductSpec spec;
+  spec.AddNta(&a);
+  spec.AddNta(&a);
+  Budget budget;
+  LazyOptions options;
+  options.budget = &budget;
+  StatusOr<EmptinessOutcome> r = EagerEmptiness(spec, nullptr, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->empty);
+  // The search for (1, 1) expands pairs of the two cliques' states; each
+  // expansion reads at most m * m edge pairs and is preceded by a
+  // checkpoint, as is every product state tried.
+  EXPECT_GT(r->stats.h_configs, static_cast<std::uint64_t>(m));
+  EXPECT_GE(budget.checkpoints(), r->stats.configs + r->stats.h_configs);
+  for (std::uint64_t k = 1; k <= budget.checkpoints(); ++k) {
+    Budget faulty;
+    faulty.set_fail_at_checkpoint(k);
+    options.budget = &faulty;
+    StatusOr<EmptinessOutcome> cut = EagerEmptiness(spec, nullptr, options);
+    ASSERT_FALSE(cut.ok()) << "checkpoint " << k;
+    EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
+  }
 }
 
 }  // namespace

@@ -342,16 +342,29 @@ TEST(RelabDifferentialTest, NfaSchemaFamilyAndShiftedOutput) {
   }
 }
 
+// RelabFamily(n) with one child too few in d_out's root rule.
+PaperExample RelabFamilyArityMismatch(int n) {
+  PaperExample ex = RelabFamily(n);
+  std::string fewer = "b";
+  for (int i = 2; i < n; ++i) fewer += " b";
+  XTC_CHECK(ex.dout->SetRule("r", fewer).ok());
+  return ex;
+}
+
+// CoprimeCounterFamily(k) whose root demands an even child count.
+PaperExample CoprimeCounterEven(int k) {
+  PaperExample ex = CoprimeCounterFamily(k);
+  XTC_CHECK(ex.dout->SetRule("r", "(x x)*").ok());
+  return ex;
+}
+
 TEST(RelabDifferentialTest, RelabFamilyArityMismatch) {
   for (int n : {2, 3, 6, 9}) {
-    PaperExample ex = RelabFamily(n);
-    EXPECT_TRUE(
-        ExpectTheorem20Agrees(ex, true, "RelabFamily " + std::to_string(n)));
-    std::string fewer = "b";
-    for (int i = 2; i < n; ++i) fewer += " b";
-    ASSERT_TRUE(ex.dout->SetRule("r", fewer).ok());
-    EXPECT_FALSE(ExpectTheorem20Agrees(
-        ex, true, "RelabFamily mismatch " + std::to_string(n)));
+    EXPECT_TRUE(ExpectTheorem20Agrees(RelabFamily(n), true,
+                                      "RelabFamily " + std::to_string(n)));
+    EXPECT_FALSE(
+        ExpectTheorem20Agrees(RelabFamilyArityMismatch(n), true,
+                              "RelabFamily mismatch " + std::to_string(n)));
   }
 }
 
@@ -362,8 +375,8 @@ TEST(RelabDifferentialTest, CoprimeCounterFamily) {
     const std::string what = "CoprimeCounterFamily " + std::to_string(k);
     EXPECT_TRUE(ExpectTheorem20Agrees(ex, true, what));
     // An even child count fails on odd inputs.
-    ASSERT_TRUE(ex.dout->SetRule("r", "(x x)*").ok());
-    EXPECT_FALSE(ExpectTheorem20Agrees(ex, true, what + " (even)"));
+    EXPECT_FALSE(
+        ExpectTheorem20Agrees(CoprimeCounterEven(k), true, what + " (even)"));
   }
 }
 
@@ -415,13 +428,15 @@ TEST(RelabDifferentialTest, ConfigCapBindsOnlyTheDeterminizedShape) {
 }
 
 // Count pins for Theorem 20: the exact verdict, the product the engine
-// builds (nta_states, nta_size) and the budget checkpoints it passes on
-// fixed families, three sizes each. DTD(DFA) outputs pin the eager fold's
-// product states and size, DTD(NFA) outputs the lazy engine's configs and
-// horizontal states plus steps. Direct engine calls leave TypecheckStats'
-// rule-DFA sizes unset, so the rows pin Dtd::RuleDfaStates() of the two
-// schemas instead: the minimal, trimmed rule DFAs that ComplementedDfaDtd
-// reads. Any change to those automata or
+// explores (nta_states, nta_size) and the budget checkpoints it passes on
+// fixed families, three sizes each, plus two failing DTD(DFA) instances
+// (the eager fold stops at the first accepting product state). DTD(DFA)
+// outputs pin the eager fold's reached product states and its searches'
+// expanded horizontal pairs plus edge pairs read, DTD(NFA) outputs the
+// lazy engine's configs and horizontal states plus steps. Direct engine
+// calls leave TypecheckStats' rule-DFA sizes unset, so the rows pin
+// Dtd::RuleDfaStates() of the two schemas instead: the minimal, trimmed
+// rule DFAs that ComplementedDfaDtd reads. Any change to those automata or
 // to the product's exploration moves these numbers.
 struct RelabCountPin {
   const char* name;
@@ -436,12 +451,12 @@ struct RelabCountPin {
 
 TEST(RelabCountPinTest, Theorem20CountsAreExact) {
   const RelabCountPin pins[] = {
-      {"RelabFamily(2)", [] { return RelabFamily(2); }, true, 702, 102661,
-       603, 3, 3},
-      {"RelabFamily(6)", [] { return RelabFamily(6); }, true, 2286, 1142953,
-       2011, 7, 7},
-      {"RelabFamily(9)", [] { return RelabFamily(9); }, true, 4230, 3947551,
-       3739, 10, 10},
+      {"RelabFamily(2)", [] { return RelabFamily(2); }, true, 54, 433,
+       684, 3, 3},
+      {"RelabFamily(6)", [] { return RelabFamily(6); }, true, 86, 1885,
+       2680, 7, 7},
+      {"RelabFamily(9)", [] { return RelabFamily(9); }, true, 110, 3667,
+       5185, 10, 10},
       // NFA rules are not counted by RuleDfaStates().
       {"NfaSchemaFamily(3)", [] { return NfaSchemaFamily(3); }, true, 6, 182,
        183, 0, 0},
@@ -450,11 +465,15 @@ TEST(RelabCountPinTest, Theorem20CountsAreExact) {
       {"NfaSchemaFamily(8)", [] { return NfaSchemaFamily(8); }, true, 6, 9002,
        7743, 0, 0},
       {"CoprimeCounterFamily(2)", [] { return CoprimeCounterFamily(2); },
-       true, 2950, 1285599, 1777, 3, 6},
+       true, 188, 6380, 1991, 3, 6},
       {"CoprimeCounterFamily(3)", [] { return CoprimeCounterFamily(3); },
-       true, 8712, 10069836, 4666, 3, 11},
+       true, 380, 24938, 5784, 3, 11},
       {"CoprimeCounterFamily(4)", [] { return CoprimeCounterFamily(4); },
-       true, 23030, 63208607, 11031, 3, 18},
+       true, 708, 83826, 14579, 3, 18},
+      {"RelabFamily(6) arity mismatch",
+       [] { return RelabFamilyArityMismatch(6); }, false, 78, 694, 811, 7, 6},
+      {"CoprimeCounterFamily(3) even", [] { return CoprimeCounterEven(3); },
+       false, 405, 19765, 4495, 3, 12},
   };
   for (const RelabCountPin& pin : pins) {
     SCOPED_TRACE(pin.name);
@@ -462,6 +481,7 @@ TEST(RelabCountPinTest, Theorem20CountsAreExact) {
     Budget budget;
     TypecheckOptions options;
     options.budget = &budget;
+    options.want_counterexample = false;
     StatusOr<TypecheckResult> r =
         TypecheckDelRelab(*ex.transducer, *ex.din, *ex.dout, options);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
